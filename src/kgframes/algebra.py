@@ -3,6 +3,11 @@
 An algebra element is one square complex matrix per block.  The k-th
 seminorm is the spectral norm of the k-th block; positivity and the
 induced order are decided blockwise with relative tolerances.
+
+Blocks are small, so a LAPACK call costs more in overhead than in flops.
+The decomposition kernels here take many matrices at once and make one
+stacked call per shape and dtype; LAPACK still runs on each matrix of
+the stack alone, so every result is bitwise that of a single call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum keeps one fixed reduction order, so (a*b)* == b* a* holds bitwise
     return np.einsum("ik,kj->ij", a, b)
+
+
+def _each(decompose, mats: Sequence[np.ndarray]) -> list:
+    """Per-matrix results of `decompose`, in input order, from one stacked
+    call per group of matrices sharing shape and dtype."""
+    groups: dict[tuple, list[int]] = {}
+    for i, mat in enumerate(mats):
+        groups.setdefault((mat.shape, mat.dtype), []).append(i)
+    out: list = [None] * len(mats)
+    for idx in groups.values():
+        for i, result in zip(idx, decompose(np.array([mats[i] for i in idx]))):
+            out[i] = result
+    return out
+
+
+def _top_singular_values(stack: np.ndarray) -> list[float]:
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1).tolist()
+
+
+def spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
+    """Spectral norm of every matrix, in input order.
+
+    Each value is bitwise the one np.linalg.norm(mat, 2) returns.
+    """
+    return _each(_top_singular_values, mats)
+
+
+def _read_only_eigh(stack: np.ndarray):
+    lam, vecs = np.linalg.eigh(stack)
+    lam.flags.writeable = False
+    vecs.flags.writeable = False
+    return zip(lam, vecs)
+
+
+def eigh_each(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read-only (eigenvalues, eigenvectors) of every Hermitian matrix, in
+    input order, each bitwise what np.linalg.eigh(mat) returns."""
+    return _each(_read_only_eigh, mats)
+
+
+def eigvalsh_each(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Eigenvalues of every Hermitian matrix, in input order, each bitwise
+    what np.linalg.eigvalsh(mat) returns."""
+    return _each(np.linalg.eigvalsh, mats)
 
 
 @dataclass(frozen=True)
@@ -86,12 +135,14 @@ def psd_verdict(
     worst_margin = np.inf
     worst_eig = np.inf
     positive = True
-    for k, blk in enumerate(blocks):
-        norm = float(np.linalg.norm(blk, 2)) if blk.size else 0.0
-        herm_gap = float(np.linalg.norm(blk - blk.conj().T, 2))
+    count = len(blocks)
+    norms = spectral_norms([*blocks, *(b - b.conj().T for b in blocks)])
+    spectra = eigvalsh_each([(b + b.conj().T) / 2.0 for b in blocks])
+    for k in range(count):
+        norm = norms[k]
+        herm_gap = norms[count + k]
         blk_herm_ok = herm_gap <= tol_herm * (1.0 + norm)
-        herm = (blk + blk.conj().T) / 2.0
-        lam_min = float(np.linalg.eigvalsh(herm)[0]) if blk.size else 0.0
+        lam_min = float(spectra[k][0])
         margin = lam_min + tol_psd * (1.0 + norm)
         if not blk_herm_ok:
             herm_ok = False
@@ -145,10 +196,10 @@ class AlgebraElement:
 
     def seminorm(self, k: int) -> float:
         """Spectral norm of block k."""
-        return float(np.linalg.norm(self.blocks[k], 2))
+        return spectral_norms([self.blocks[k]])[0]
 
     def seminorms(self) -> tuple[float, ...]:
-        return tuple(self.seminorm(k) for k in range(self.shape.block_count))
+        return tuple(spectral_norms(self.blocks))
 
     def max_seminorm(self) -> float:
         return max(self.seminorms())

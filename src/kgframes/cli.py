@@ -47,12 +47,6 @@ GAP_RATIO_WARNING = 1e3
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol-psd",
-        type=float,
-        default=TOL_PSD,
-        help="relative eigenvalue floor for positivity verdicts",
-    )
-    parser.add_argument(
         "--tol-eq",
         type=float,
         default=TOL_EQ,
@@ -409,6 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "-o", "--output", default=None, help="report path (default stdout)"
+    )
+    p_verify.add_argument(
+        "--tol-psd",
+        type=float,
+        default=TOL_PSD,
+        help="relative eigenvalue floor for positivity verdicts",
     )
     _add_tolerance_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)

@@ -183,10 +183,6 @@ def build_document(
     return doc
 
 
-def document_from_instance(doc: InstanceDocument) -> dict:
-    return build_document(doc.shape, doc.module_rank, doc.frame, doc.operators)
-
-
 def parse_document(payload) -> InstanceDocument:
     _require(isinstance(payload, dict), "$", "expected a JSON object")
     version = payload.get("version")

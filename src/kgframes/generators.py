@@ -222,13 +222,6 @@ def random_vector(
     return ModuleVector(shape, rank, stacks)
 
 
-def vectors_from_seed(
-    seed: int, shape: AlgebraShape, rank: int, count: int
-) -> list[ModuleVector]:
-    rng = _rng(seed)
-    return [random_vector(rng, shape, rank) for _ in range(count)]
-
-
 def polynomial_in(
     rng: np.random.Generator,
     k_op: ModuleOperator,

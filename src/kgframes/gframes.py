@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import TOL_RANK, AlgebraShape, _check_same_shape
+from .algebra import TOL_RANK, AlgebraShape, _check_same_shape, spectral_norms
 from .errors import BasisError, PartitionError, ShapeMismatch
 from .modules import ModuleVector, vector_seminorm
 from .operators import ModuleOperator, _hermitize
@@ -45,7 +45,15 @@ def embed_direction(
 class GFrame:
     """Indexed family of operators out of one common domain module."""
 
-    __slots__ = ("shape", "domain_rank", "members", "offsets", "_analysis", "_frame_op")
+    __slots__ = (
+        "shape",
+        "domain_rank",
+        "members",
+        "offsets",
+        "_analysis",
+        "_frame_op",
+        "_basis_reports",
+    )
 
     def __init__(self, members: Iterable[ModuleOperator]):
         members = tuple(members)
@@ -66,6 +74,7 @@ class GFrame:
         self.offsets = tuple(offsets)
         self._analysis: ModuleOperator | None = None
         self._frame_op: ModuleOperator | None = None
+        self._basis_reports: dict[float, BasisAxiomReport] = {}
 
     # -- structure ----------------------------------------------------
 
@@ -168,13 +177,11 @@ class FrameBounds:
 
 def optimal_g_bounds(frame: GFrame, tight_tol: float = 1e-8) -> FrameBounds:
     """Extreme eigenvalues of the frame operator with witness vectors."""
-    s_op = frame.frame_operator()
     lower = np.inf
     upper = -np.inf
     lo_block = hi_block = 0
     lo_vec = hi_vec = None
-    for k, blk in enumerate(s_op.blocks):
-        lam, vecs = np.linalg.eigh(blk)
+    for k, (lam, vecs) in enumerate(frame.frame_operator().hermitian_spectrum()):
         if float(lam[0]) < lower:
             lower = float(lam[0])
             lo_block = k
@@ -280,7 +287,7 @@ def basis_axiom_report(
 ) -> BasisAxiomReport:
     """Test each orthonormal-basis axiom separately on a candidate family."""
     shape = basis.shape
-    delta_violation = 0.0
+    delta_gaps = []
     for i, ei in enumerate(basis.members):
         for j, ej in enumerate(basis.members):
             # realization of: apply adjoint(E_i), then E_j
@@ -291,18 +298,15 @@ def basis_axiom_report(
                     if i == j
                     else np.zeros_like(got)
                 )
-                delta_violation = max(
-                    delta_violation, float(np.linalg.norm(got - want, 2))
-                )
-    parseval_violation = 0.0
+                delta_gaps.append(got - want)
+    delta_violation = max([0.0, *spectral_norms(delta_gaps)])
+    parseval_gaps = []
     for k, n in enumerate(shape):
         acc = np.zeros((n * basis.domain_rank,) * 2, dtype=complex)
         for mem in basis.members:
             acc = acc + mem.blocks[k] @ mem.blocks[k].conj().T
-        parseval_violation = max(
-            parseval_violation,
-            float(np.linalg.norm(acc - np.eye(acc.shape[0]), 2)),
-        )
+        parseval_gaps.append(acc - np.eye(acc.shape[0]))
+    parseval_violation = max([0.0, *spectral_norms(parseval_gaps)])
     if probes is None:
         probes = _default_probes(shape, basis.domain_rank)
     seminorm_violation = 0.0
@@ -326,8 +330,15 @@ def basis_axiom_report(
 
 
 def validate_basis(basis: GFrame, tol: float = BASIS_TOL) -> BasisAxiomReport:
-    """Require the two adopted axioms (delta + completeness); report all."""
-    report = basis_axiom_report(basis, probes=(), tol=tol)
+    """Require the two adopted axioms (delta + completeness); report all.
+
+    The report is kept on the immutable family, one per tolerance, so a
+    family is measured once; a family that fails raises on every call.
+    """
+    report = basis._basis_reports.get(tol)
+    if report is None:
+        report = basis_axiom_report(basis, probes=(), tol=tol)
+        basis._basis_reports[tol] = report
     if not (report.delta_ok and report.parseval_ok):
         raise BasisError(
             "candidate family fails the orthonormal-basis axioms: "

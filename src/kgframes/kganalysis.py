@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL_RANK
+from .algebra import TOL_RANK, eigh_each, spectral_norms
 from .errors import ShapeMismatch
 from .gframes import GFrame, embed_direction, g_operator, optimal_g_bounds
 from .modules import ModuleVector, inner
@@ -24,8 +24,8 @@ from .operators import (
     ModuleOperator,
     PencilResult,
     _hermitize,
+    _pencil,
     douglas,
-    largest_lower_scale,
     psd_quotient_max,
 )
 
@@ -120,10 +120,16 @@ class KGFrameReport:
     is_k_g_frame: bool
     lower_c: float
     upper_d: float
-    route: str
     degenerate_zero_k: bool
     pencil: PencilResult
     counterexample: CounterexampleCertificate | None
+
+
+def _frame_pencil(
+    frame: GFrame, m_blocks: list[np.ndarray], rel_tol: float
+) -> PencilResult:
+    """Pencil of (m_blocks, S) over the frame operator's kept spectrum."""
+    return _pencil(m_blocks, frame.frame_operator().hermitian_spectrum(), rel_tol)
 
 
 def optimal_kg_lower_bound(
@@ -132,10 +138,7 @@ def optimal_kg_lower_bound(
     """Largest C with C times the absolute square of K below the frame
     operator; 0 when no positive C exists, +inf when K vanishes."""
     _check_square_on_domain(frame, k_op)
-    s_blocks = frame.frame_operator().blocks
-    m_blocks = _absolute_square_blocks(k_op)
-    scale, _ = largest_lower_scale(s_blocks, m_blocks, rel_tol=rel_tol)
-    return scale
+    return _frame_pencil(frame, _absolute_square_blocks(k_op), rel_tol).lower_scale
 
 
 def is_kg_frame(
@@ -145,28 +148,33 @@ def is_kg_frame(
 ) -> KGFrameReport:
     """Decide the frame property relative to K with certificates.
 
-    The verdict is true exactly when some C above the rank tolerance
-    satisfies the majorization; a false verdict carries a witness vector
-    whose inequality values demonstrate the failure.
+    The verdict is true exactly when the pencil finds the range of the
+    absolute square of K inside the range of the frame operator, so that
+    some C > 0 satisfies the majorization.  C itself is compared with no
+    tolerance, so scaling the frame or K moves C and not the verdict.  A
+    false verdict carries a witness vector whose inequality values
+    demonstrate the failure.
     """
     _check_square_on_domain(frame, k_op)
     s_op = frame.frame_operator()
     m_blocks = _absolute_square_blocks(k_op)
-    scale, pencil = largest_lower_scale(s_op.blocks, m_blocks, rel_tol=rel_tol)
+    pencil = _frame_pencil(frame, m_blocks, rel_tol)
+    scale = pencil.lower_scale
     upper = optimal_g_bounds(frame).upper
     degenerate = k_op.uniform_norm() == 0.0
-    verdict = bool(scale > rel_tol) or degenerate
+    verdict = (pencil.included and scale > 0.0) or degenerate
     counterexample = None
     if not verdict:
         if not pencil.included:
             proj = s_op.range_projection(rel_tol=rel_tol)
+            leaks = []
+            for p_blk, m_blk in zip(proj.blocks, m_blocks):
+                comp = np.eye(p_blk.shape[0]) - p_blk
+                leaks.append(_hermitize(comp @ m_blk @ comp))
             best_val = -1.0
             best_block = 0
             best_vec = None
-            for k, (p_blk, m_blk) in enumerate(zip(proj.blocks, m_blocks)):
-                comp = np.eye(p_blk.shape[0]) - p_blk
-                leak = _hermitize(comp @ m_blk @ comp)
-                lam, vecs = np.linalg.eigh(leak)
+            for k, (lam, vecs) in enumerate(eigh_each(leaks)):
                 if float(lam[-1]) > best_val:
                     best_val = float(lam[-1])
                     best_block = k
@@ -182,7 +190,6 @@ def is_kg_frame(
         is_k_g_frame=verdict,
         lower_c=scale,
         upper_d=upper,
-        route="pencil",
         degenerate_zero_k=degenerate,
         pencil=pencil,
         counterexample=counterexample,
@@ -222,13 +229,11 @@ class TightnessReport:
     ranges_match: bool
 
 
-def tightness_check(
-    frame: GFrame,
-    k_op: ModuleOperator,
-    tol_eq: float = TOL_EQ,
-    rel_tol: float = TOL_RANK,
-) -> TightnessReport:
-    """Best single scale A with A*KK' = S, plus the range comparison."""
+def tightness_scale(
+    frame: GFrame, k_op: ModuleOperator, tol_eq: float = TOL_EQ
+) -> tuple[bool, float, float]:
+    """Best single scale A with A*KK' = S: (tight, A, residual), without
+    the range comparison `tightness_check` adds."""
     _check_square_on_domain(frame, k_op)
     s_op = frame.frame_operator()
     m_blocks = _absolute_square_blocks(k_op)
@@ -244,14 +249,26 @@ def tightness_check(
     else:
         scale = max(num / den, 0.0)
         residual = max(
-            float(np.linalg.norm(scale * m_blk - s_blk, 2))
-            for m_blk, s_blk in zip(m_blocks, s_op.blocks)
+            spectral_norms(
+                [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)]
+            )
         )
+    return bool(residual <= tol_eq * (1.0 + s_norm) and scale > 0.0), scale, residual
+
+
+def tightness_check(
+    frame: GFrame,
+    k_op: ModuleOperator,
+    tol_eq: float = TOL_EQ,
+    rel_tol: float = TOL_RANK,
+) -> TightnessReport:
+    """Best single scale A with A*KK' = S, plus the range comparison."""
+    tight, scale, residual = tightness_scale(frame, k_op, tol_eq=tol_eq)
     synthesis = frame.synthesis_operator()
     forward = douglas(k_op, synthesis, tol_eq=tol_eq, rel_tol=rel_tol)
     backward = douglas(synthesis, k_op, tol_eq=tol_eq, rel_tol=rel_tol)
     return TightnessReport(
-        tight=bool(residual <= tol_eq * (1.0 + s_norm) and scale > 0.0),
+        tight=tight,
         scale=scale,
         residual=residual,
         ranges_match=forward.range_included and backward.range_included,

@@ -6,6 +6,13 @@ shape (n_k d, n_k c), the realization.  Applying the operator multiplies
 a vector's row stack by the realization on the right, so composition in
 application order is the matrix product of realizations in the same
 order, and the adjoint is the blockwise conjugate transpose.
+
+Spectral norms go through the one stacked kernel,
+`algebra.spectral_norms`, and Hermitian eigendecompositions through
+`algebra.eigh_each`: each makes one LAPACK call per block shape.  An
+operator's uniform norm and Hermitian spectrum are computed once and
+kept, so the frame operator shared by a frame's bounds, pencil and
+square root is decomposed once.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from .algebra import (
     PositivityVerdict,
     _check_same_shape,
     _freeze,
+    eigh_each,
     leq,
     psd_verdict,
+    spectral_norms,
 )
 from .errors import InvertibilityError, ShapeMismatch
 from .modules import ModuleVector, inner
@@ -42,7 +51,14 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 class ModuleOperator:
     """Adjointable module map held as one realization matrix per block."""
 
-    __slots__ = ("shape", "domain_rank", "codomain_rank", "blocks")
+    __slots__ = (
+        "shape",
+        "domain_rank",
+        "codomain_rank",
+        "blocks",
+        "_norm",
+        "_spectrum",
+    )
 
     def __init__(
         self,
@@ -68,6 +84,8 @@ class ModuleOperator:
         self.domain_rank = domain_rank
         self.codomain_rank = codomain_rank
         self.blocks = blocks
+        self._norm: float | None = None
+        self._spectrum: tuple | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -213,8 +231,10 @@ class ModuleOperator:
     # -- norms and spectral operations ----------------------------------
 
     def uniform_norm(self) -> float:
-        """Largest spectral norm over the realization blocks."""
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
+        """Largest spectral norm over the realization blocks, computed once."""
+        if self._norm is None:
+            self._norm = max(spectral_norms(self.blocks))
+        return self._norm
 
     def pinv(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Blockwise Moore-Penrose pseudoinverse.
@@ -269,13 +289,24 @@ class ModuleOperator:
     def smallest_singular_value(self) -> float:
         return min(float(np.linalg.svd(b, compute_uv=False)[-1]) for b in self.blocks)
 
+    def hermitian_spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Ascending eigenvalues and eigenvectors of each block's Hermitian part.
+
+        Decomposed on first use and kept: the blocks are read-only, and
+        so are the returned arrays.
+        """
+        if self.domain_rank != self.codomain_rank:
+            raise ShapeMismatch("a spectrum needs a square operator")
+        if self._spectrum is None:
+            self._spectrum = tuple(eigh_each([_hermitize(b) for b in self.blocks]))
+        return self._spectrum
+
     def hermitian_sqrt(self) -> "ModuleOperator":
         """Square root of a positive semidefinite square operator."""
         if self.domain_rank != self.codomain_rank:
             raise ShapeMismatch("square root needs a square operator")
         blocks = []
-        for blk in self.blocks:
-            lam, vecs = np.linalg.eigh(_hermitize(blk))
+        for lam, vecs in self.hermitian_spectrum():
             lam = np.clip(lam, 0.0, None)
             blocks.append(_hermitize((vecs * np.sqrt(lam)) @ vecs.conj().T))
         return ModuleOperator(self.shape, self.domain_rank, self.codomain_rank, blocks)
@@ -323,6 +354,17 @@ class PencilResult:
     block: int
     direction: np.ndarray | None
 
+    @property
+    def lower_scale(self) -> float:
+        """Largest s >= 0 with s M <= N: 0 when the range of M escapes
+        the range of N (no positive s exists), +inf when M vanishes (the
+        constraint is vacuous)."""
+        if not self.included:
+            return 0.0
+        if self.quotient <= 0.0:
+            return np.inf
+        return 1.0 / self.quotient
+
 
 def psd_quotient_max(
     m_blocks: Sequence[np.ndarray],
@@ -337,36 +379,51 @@ def psd_quotient_max(
     quotient is the smallest t with M <= t N (callers take reciprocals
     as needed).
     """
+    n_spectrum = eigh_each([_hermitize(n) for n in n_blocks])
+    return _pencil(m_blocks, n_spectrum, rel_tol, inclusion_tol)
+
+
+def _pencil(
+    m_blocks: Sequence[np.ndarray],
+    n_spectrum: Sequence[tuple[np.ndarray, np.ndarray]],
+    rel_tol: float = TOL_RANK,
+    inclusion_tol: float = 1e-12,
+) -> PencilResult:
+    """psd_quotient_max given the eigendecomposition of each N block."""
+    ms = [_hermitize(m) for m in m_blocks]
+    gap_ratio = np.inf
+    vanished, leaks, kept, compressed_g = [], [], [], []
+    for k, (m, (lam, vecs)) in enumerate(zip(ms, n_spectrum)):
+        lam_top = max(float(lam[-1]), 0.0)
+        keep = lam > rel_tol * max(lam_top, _TINY)
+        if not keep.any():
+            vanished.append(k)
+            continue
+        dropped = lam[~keep]
+        largest_dropped = float(np.abs(dropped).max()) if dropped.size else 0.0
+        if largest_dropped > 0:
+            gap_ratio = min(gap_ratio, float(lam[keep].min()) / largest_dropped)
+        vr = vecs[:, keep]
+        compressed = vr.conj().T @ m @ vr
+        leaks.append(m - vr @ compressed @ vr.conj().T)
+        inv_sqrt = 1.0 / np.sqrt(lam[keep])
+        compressed_g.append(
+            _hermitize((inv_sqrt[:, None] * compressed) * inv_sqrt[None, :])
+        )
+        kept.append((k, vr, inv_sqrt))
+    # one kernel call for both: each leak has the shape of its M block
+    norms = spectral_norms(ms + leaks)
+    m_scales, leak_norms = norms[: len(ms)], norms[len(ms) :]
+    # where N vanishes only M = 0 is compatible; elsewhere M must not
+    # leak out of the range of N
+    included = not any(m_scales[k] > inclusion_tol for k in vanished) and not any(
+        leak > inclusion_tol * (1.0 + m_scales[k])
+        for leak, (k, _, _) in zip(leak_norms, kept)
+    )
     worst_quot = -1.0
     worst_block = 0
     worst_direction: np.ndarray | None = None
-    included = True
-    gap_ratio = np.inf
-    for k, (m_raw, n_raw) in enumerate(zip(m_blocks, n_blocks)):
-        m = _hermitize(m_raw)
-        n = _hermitize(n_raw)
-        m_scale = float(np.linalg.norm(m, 2))
-        lam, vecs = np.linalg.eigh(n)
-        lam_top = max(float(lam[-1]), 0.0)
-        keep = lam > rel_tol * max(lam_top, _TINY)
-        if keep.any():
-            dropped = lam[~keep]
-            largest_dropped = float(np.abs(dropped).max()) if dropped.size else 0.0
-            if largest_dropped > 0:
-                gap_ratio = min(gap_ratio, float(lam[keep].min()) / largest_dropped)
-        if not keep.any():
-            # N vanishes on this block; only M = 0 is compatible
-            if m_scale > inclusion_tol:
-                included = False
-            continue
-        vr = vecs[:, keep]
-        compressed = vr.conj().T @ m @ vr
-        leak = m - vr @ compressed @ vr.conj().T
-        if float(np.linalg.norm(leak, 2)) > inclusion_tol * (1.0 + m_scale):
-            included = False
-        inv_sqrt = 1.0 / np.sqrt(lam[keep])
-        g = _hermitize((inv_sqrt[:, None] * compressed) * inv_sqrt[None, :])
-        g_lam, g_vecs = np.linalg.eigh(g)
+    for (k, vr, inv_sqrt), (g_lam, g_vecs) in zip(kept, eigh_each(compressed_g)):
         quot = max(float(g_lam[-1]), 0.0)
         if quot > worst_quot:
             worst_quot = quot
@@ -394,11 +451,7 @@ def largest_lower_scale(
     exists) and +inf when M vanishes (the constraint is vacuous).
     """
     pencil = psd_quotient_max(m_blocks, n_blocks, rel_tol=rel_tol)
-    if not pencil.included:
-        return 0.0, pencil
-    if pencil.quotient <= 0.0:
-        return np.inf, pencil
-    return 1.0 / pencil.quotient, pencil
+    return pencil.lower_scale, pencil
 
 
 # -- majorization / range inclusion certificate -------------------------

@@ -60,6 +60,7 @@ from .kganalysis import (
     resolution_check,
     sqrt_factor_check,
     tightness_check,
+    tightness_scale,
 )
 from .modules import max_vector_seminorm
 from .operators import TOL_EQ, ModuleOperator, operator_distance
@@ -209,12 +210,12 @@ def _psd_agreement(frame: GFrame, k_op: ModuleOperator, config: SuiteConfig) -> 
     }
     if rep.is_k_g_frame and np.isfinite(rep.lower_c) and rep.lower_c > 0:
         at_optimum = s_op - abs_sq.scale(rep.lower_c * (1.0 - 1e-9))
-        verdict_at = at_optimum.positivity()
+        verdict_at = at_optimum.positivity(tol_psd=config.tol_psd)
         out["min_eig_at_optimum"] = _f(verdict_at.min_eigenvalue)
         out["ok"] = bool(verdict_at.is_positive)
         if rep.lower_c > 1e-5:
             above = s_op - abs_sq.scale(rep.lower_c * 2.0)
-            verdict_above = above.positivity()
+            verdict_above = above.positivity(tol_psd=config.tol_psd)
             out["min_eig_above_optimum"] = _f(verdict_above.min_eigenvalue)
             out["ok"] = out["ok"] and not verdict_above.is_positive
     elif not rep.is_k_g_frame:
@@ -223,7 +224,9 @@ def _psd_agreement(frame: GFrame, k_op: ModuleOperator, config: SuiteConfig) -> 
             * (1.0 + s_op.uniform_norm())
             / (1.0 + abs_sq.uniform_norm())
         )
-        verdict_probe = (s_op - abs_sq.scale(probe)).positivity()
+        verdict_probe = (s_op - abs_sq.scale(probe)).positivity(
+            tol_psd=config.tol_psd
+        )
         out["min_eig_at_probe"] = _f(verdict_probe.min_eigenvalue)
         out["ok"] = not verdict_probe.is_positive
     return out
@@ -358,9 +361,9 @@ def _parseval_signature(
 ) -> tuple[bool, float, float]:
     """Tightness verdict and scale of {member after adjoint(K)} against K."""
     weighted = GFrame([k_op.adjoint().then(mem) for mem in base.members])
-    rep = tightness_check(weighted, k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol)
-    parseval = rep.tight and abs(rep.scale - 1.0) <= 1e-8
-    return parseval, rep.scale, rep.residual
+    tight, scale, residual = tightness_scale(weighted, k_op, tol_eq=config.tol_eq)
+    parseval = tight and abs(scale - 1.0) <= 1e-8
+    return parseval, scale, residual
 
 
 def _check_coisometric_parseval(config: SuiteConfig, trial: int) -> TrialOutcome:
@@ -614,24 +617,27 @@ def _check_order_chain(config: SuiteConfig, trial: int) -> TrialOutcome:
     s_op = frame.frame_operator()
     abs_sq = _abs_square(k_op)
     ident = ModuleOperator.identity(inst.shape, frame.domain_rank)
+    tol_psd = config.tol_psd
     ok = True
     measured = {
         "lower_c": _f(rep.lower_c) if np.isfinite(rep.lower_c) else np.inf,
         "upper_d": _f(bounds.upper),
     }
     if rep.is_k_g_frame and np.isfinite(rep.lower_c) and rep.lower_c > 0:
-        lower_diff = (s_op - abs_sq.scale(rep.lower_c * (1.0 - 1e-9))).positivity()
+        lower_diff = (s_op - abs_sq.scale(rep.lower_c * (1.0 - 1e-9))).positivity(
+            tol_psd=tol_psd
+        )
         measured["lower_min_eig"] = _f(lower_diff.min_eigenvalue)
         ok = ok and lower_diff.is_positive
         if rep.lower_c > 1e-5:
-            over = (s_op - abs_sq.scale(rep.lower_c * 2.0)).positivity()
+            over = (s_op - abs_sq.scale(rep.lower_c * 2.0)).positivity(tol_psd=tol_psd)
             measured["lower_overshoot_min_eig"] = _f(over.min_eigenvalue)
             ok = ok and not over.is_positive
-    upper_diff = (ident.scale(bounds.upper) - s_op).positivity()
+    upper_diff = (ident.scale(bounds.upper) - s_op).positivity(tol_psd=tol_psd)
     measured["upper_min_eig"] = _f(upper_diff.min_eigenvalue)
     ok = ok and upper_diff.is_positive
     if bounds.upper > 1e-6:
-        under = (ident.scale(bounds.upper * 0.99) - s_op).positivity()
+        under = (ident.scale(bounds.upper * 0.99) - s_op).positivity(tol_psd=tol_psd)
         measured["upper_undershoot_min_eig"] = _f(under.min_eigenvalue)
         ok = ok and not under.is_positive
     return TrialOutcome(
@@ -776,6 +782,14 @@ def _check_tightness_scaling(config: SuiteConfig, trial: int) -> TrialOutcome:
         inst.frame, inst.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
     )
     neg = _make(config, "tightness_scaling", trial, "generic", rich=True)
+    redraw = 0
+    while sum(neg.shape.sizes) * neg.frame.domain_rank == 1:
+        # a realization of total dimension one makes every complete frame
+        # tight, so only then is the negative instance drawn again
+        redraw += 1
+        neg = _make(
+            config, f"tightness_scaling#redraw{redraw}", trial, "generic", rich=True
+        )
     rep_neg = tightness_check(
         neg.frame, neg.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
     )

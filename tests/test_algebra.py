@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kgframes as kg
+from kgframes.algebra import eigh_each, eigvalsh_each
 from helpers import hermitian_element, psd_element, random_element
 
 
@@ -158,3 +159,36 @@ def test_allclose_and_mixed_shape_rejection():
     b = random_element(rng, other)
     with pytest.raises(kg.ShapeMismatch):
         a + b  # noqa: B018 - the addition itself must raise
+
+
+def _mixed_matrices(rng):
+    """Shapes from 1x1 to 24x24 (some rectangular, some repeated), real
+    and complex, interleaved so equal shapes are not adjacent."""
+    mats = []
+    for n in (1, 24, 2, 4, 1, 3, 4, 24, 2, 7):
+        mats.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        mats.append(rng.standard_normal((n, n + 2)))
+    mats.insert(5, np.zeros((4, 4), dtype=complex))
+    return mats
+
+
+def test_spectral_norms_match_numpy_bitwise_in_input_order():
+    mats = _mixed_matrices(np.random.default_rng(11))
+    got = kg.spectral_norms(mats)
+    want = [float(np.linalg.norm(m, 2)) for m in mats]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got[5] == 0.0
+    assert kg.spectral_norms([]) == []
+
+
+def test_stacked_hermitian_kernels_match_numpy_bitwise():
+    mats = _mixed_matrices(np.random.default_rng(12))
+    herm = [(m + m.conj().T) / 2.0 for m in mats if m.shape[0] == m.shape[1]]
+    herm += [h.real for h in herm[:4]]
+    for (lam, vecs), h in zip(eigh_each(herm), herm):
+        want_lam, want_vecs = np.linalg.eigh(h)
+        assert lam.tobytes() == want_lam.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
+        assert not vecs.flags.writeable
+    for lam, h in zip(eigvalsh_each(herm), herm):
+        assert lam.tobytes() == np.linalg.eigvalsh(h).tobytes()

@@ -156,6 +156,17 @@ def test_verify_caps_flag(tmp_path, capsys):
     assert "--max-dims" in capsys.readouterr().err
 
 
+def test_tol_psd_is_a_verify_flag_only(pinned_doc, capsys):
+    # check and dual decide no positivity, so they take no PSD tolerance
+    for argv in (["check", str(pinned_doc)], ["dual", str(pinned_doc)]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--tol-psd", "1e-6"])
+    capsys.readouterr()
+    argv = ["verify", "--trials", "1", "--theorems", "completeness_span"]
+    assert main(argv + ["--tol-psd", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["tol_psd"] == 1e-6
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["check", "/nonexistent/input.json"]) == 1
     assert "error:" in capsys.readouterr().err

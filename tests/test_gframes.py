@@ -121,8 +121,18 @@ def test_canonical_basis_partition_errors():
 def test_validate_basis_rejects_non_basis():
     shape = single_block_shape()
     skew = kg.GFrame([column_member(shape, 1, 1), column_member(shape, 0, 1)])
-    with pytest.raises(kg.BasisError):
-        kg.validate_basis(skew)
+    for _ in range(3):  # the kept report still raises on every call
+        with pytest.raises(kg.BasisError):
+            kg.validate_basis(skew)
+
+
+def test_validate_basis_keeps_one_report_per_tolerance():
+    basis = kg.canonical_basis(kg.AlgebraShape((2, 1)), 3, (2, 1))
+    first = kg.validate_basis(basis)
+    assert kg.validate_basis(basis) is first
+    assert first.delta_ok and first.parseval_ok
+    loose = kg.validate_basis(basis, tol=1e-6)
+    assert loose is not first and kg.validate_basis(basis, tol=1e-6) is loose
 
 
 def test_g_operator_round_trip_is_exact():

@@ -31,6 +31,15 @@ def test_identity_reference_recovers_frame_bound():
     assert report.lower_c == pytest.approx(1.0, abs=1e-9)
 
 
+def test_verdict_is_invariant_under_scaling_frame_or_reference():
+    shape, frame, k_op = pinned_example()
+    small = kg.GFrame([mem.scale(1e-6) for mem in frame.members])
+    for report in (kg.is_kg_frame(small, k_op), kg.is_kg_frame(frame, k_op.scale(1e6))):
+        assert report.is_k_g_frame
+        assert report.counterexample is None
+        assert report.lower_c == pytest.approx(1.5e-12, rel=1e-9)
+
+
 def test_zero_reference_is_degenerate():
     shape, frame, _ = pinned_example()
     zero = kg.ModuleOperator.zero(shape, 2, 2)
@@ -90,10 +99,12 @@ def test_range_route_agrees_with_pencil_route():
 
 def test_pinned_example_is_not_tight_despite_equal_ranges():
     shape, frame, _ = pinned_example()
-    report = kg.tightness_check(frame, kg.ModuleOperator.identity(shape, 2))
+    ident = kg.ModuleOperator.identity(shape, 2)
+    report = kg.tightness_check(frame, ident)
     assert not report.tight
     assert report.ranges_match
     assert report.residual > 1e-2
+    assert kg.tightness_scale(frame, ident) == (False, report.scale, report.residual)
 
 
 def test_scaled_coordinate_frame_is_tight():
@@ -102,11 +113,13 @@ def test_scaled_coordinate_frame_is_tight():
     frame = kg.GFrame(
         [column_member(shape, root2, 0), column_member(shape, 0, root2)]
     )
-    report = kg.tightness_check(frame, kg.ModuleOperator.identity(shape, 2))
+    ident = kg.ModuleOperator.identity(shape, 2)
+    report = kg.tightness_check(frame, ident)
     assert report.tight
     assert report.scale == pytest.approx(2.0, abs=1e-12)
     assert report.residual <= 1e-12
     assert report.ranges_match
+    assert kg.tightness_scale(frame, ident) == (True, report.scale, report.residual)
 
 
 def test_generated_tight_families_recover_their_scale():

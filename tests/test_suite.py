@@ -79,6 +79,23 @@ def test_document_bytes_are_deterministic():
     assert payload["seed"] == 7
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3, 4, 8, 10))
+def test_tightness_scaling_passes_where_a_draw_is_one_dimensional(seed):
+    # these seeds draw a non-tight instance of total dimension one at least once
+    cfg = kg.SuiteConfig(trials=50, seed=seed, check_ids=("tightness_scaling",))
+    assert kg.run_theorem_suite(cfg).reports[0].passes == 50
+
+
+def test_tol_psd_reaches_the_positivity_verdicts():
+    default = kg.result_to_document(kg.run_theorem_suite(kg.SuiteConfig(trials=5)))
+    loose = kg.result_to_document(
+        kg.run_theorem_suite(kg.SuiteConfig(trials=5, tol_psd=10.0))
+    )
+    assert loose["tolerances"]["tol_psd"] == 10.0
+    loose["tolerances"]["tol_psd"] = default["tolerances"]["tol_psd"]
+    assert loose != default
+
+
 def test_seed_changes_the_draws():
     a = kg.run_check(kg.SuiteConfig(seed=1), "canonical_dual_residual", 0)
     b = kg.run_check(kg.SuiteConfig(seed=2), "canonical_dual_residual", 0)
