@@ -50,13 +50,16 @@ def _each(decompose, mats: Sequence[np.ndarray]) -> list:
 
 
 def _top_singular_values(stack: np.ndarray) -> list[float]:
+    if 0 in stack.shape[1:]:
+        return [0.0] * len(stack)
     return np.linalg.svd(stack, compute_uv=False).max(axis=-1).tolist()
 
 
 def spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
     """Spectral norm of every matrix, in input order.
 
-    Each value is bitwise the one np.linalg.norm(mat, 2) returns.
+    Each value is bitwise the one np.linalg.norm(mat, 2) returns, 0.0 for
+    a matrix with no entries.
     """
     return _each(_top_singular_values, mats)
 
@@ -142,7 +145,7 @@ def psd_verdict(
         norm = norms[k]
         herm_gap = norms[count + k]
         blk_herm_ok = herm_gap <= tol_herm * (1.0 + norm)
-        lam_min = float(spectra[k][0])
+        lam_min = float(spectra[k][0]) if spectra[k].size else 0.0
         margin = lam_min + tol_psd * (1.0 + norm)
         if not blk_herm_ok:
             herm_ok = False

@@ -27,7 +27,7 @@ from .duality import canonical_k_dual, verify_k_dual
 from .errors import DualityError, KGFrameError
 from .generators import Caps
 from .gframes import GFrame, is_g_complete, optimal_g_bounds
-from .kganalysis import is_kg_frame, tightness_check
+from .kganalysis import is_kg_frame, tightness_scale
 from .operators import TOL_EQ
 from .suite import (
     SuiteConfig,
@@ -145,14 +145,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if k_op is None:
             print("tightness requires a reference operator", file=sys.stderr)
             return EXIT_ERROR
-        tight_rep = tightness_check(
-            frame, k_op, tol_eq=args.tol_eq, rel_tol=args.tol_rank
-        )
+        tight, scale, residual = tightness_scale(frame, k_op, tol_eq=args.tol_eq)
         print(
-            f"tight: {'yes' if tight_rep.tight else 'no'}"
-            f"  scale: {_fmt(tight_rep.scale)}  residual: {_fmt(tight_rep.residual)}"
+            f"tight: {'yes' if tight else 'no'}"
+            f"  scale: {_fmt(scale)}  residual: {_fmt(residual)}"
         )
-        holds = holds and tight_rep.tight
+        holds = holds and tight
     return EXIT_OK if holds else EXIT_REFUSED
 
 

@@ -24,8 +24,8 @@ from .operators import (
     ModuleOperator,
     PencilResult,
     _hermitize,
-    _pencil,
     douglas,
+    pencil_over_spectrum,
     psd_quotient_max,
 )
 
@@ -125,20 +125,18 @@ class KGFrameReport:
     counterexample: CounterexampleCertificate | None
 
 
-def _frame_pencil(
-    frame: GFrame, m_blocks: list[np.ndarray], rel_tol: float
-) -> PencilResult:
-    """Pencil of (m_blocks, S) over the frame operator's kept spectrum."""
-    return _pencil(m_blocks, frame.frame_operator().hermitian_spectrum(), rel_tol)
-
-
 def optimal_kg_lower_bound(
     frame: GFrame, k_op: ModuleOperator, rel_tol: float = TOL_RANK
 ) -> float:
     """Largest C with C times the absolute square of K below the frame
     operator; 0 when no positive C exists, +inf when K vanishes."""
     _check_square_on_domain(frame, k_op)
-    return _frame_pencil(frame, _absolute_square_blocks(k_op), rel_tol).lower_scale
+    pencil = pencil_over_spectrum(
+        _absolute_square_blocks(k_op),
+        frame.frame_operator().hermitian_spectrum(),
+        rel_tol,
+    )
+    return pencil.lower_scale
 
 
 def is_kg_frame(
@@ -158,7 +156,7 @@ def is_kg_frame(
     _check_square_on_domain(frame, k_op)
     s_op = frame.frame_operator()
     m_blocks = _absolute_square_blocks(k_op)
-    pencil = _frame_pencil(frame, m_blocks, rel_tol)
+    pencil = pencil_over_spectrum(m_blocks, s_op.hermitian_spectrum(), rel_tol)
     scale = pencil.lower_scale
     upper = optimal_g_bounds(frame).upper
     degenerate = k_op.uniform_norm() == 0.0

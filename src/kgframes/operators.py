@@ -380,16 +380,21 @@ def psd_quotient_max(
     as needed).
     """
     n_spectrum = eigh_each([_hermitize(n) for n in n_blocks])
-    return _pencil(m_blocks, n_spectrum, rel_tol, inclusion_tol)
+    return pencil_over_spectrum(m_blocks, n_spectrum, rel_tol, inclusion_tol)
 
 
-def _pencil(
+def pencil_over_spectrum(
     m_blocks: Sequence[np.ndarray],
     n_spectrum: Sequence[tuple[np.ndarray, np.ndarray]],
     rel_tol: float = TOL_RANK,
     inclusion_tol: float = 1e-12,
 ) -> PencilResult:
-    """psd_quotient_max given the eigendecomposition of each N block."""
+    """psd_quotient_max over a given eigendecomposition of each N block.
+
+    `n_spectrum` holds one (eigenvalues, eigenvectors) pair per block, as
+    `eigh_each` returns them, so an N decomposed once serves every pencil
+    taken against it.
+    """
     ms = [_hermitize(m) for m in m_blocks]
     gap_ratio = np.inf
     vanished, leaks, kept, compressed_g = [], [], [], []

@@ -172,6 +172,10 @@ def _mixed_matrices(rng):
     return mats
 
 
+def _empty_matrices():
+    return [np.zeros((0, 0), dtype=complex), np.zeros((2, 0)), np.zeros((0, 3))]
+
+
 def test_spectral_norms_match_numpy_bitwise_in_input_order():
     mats = _mixed_matrices(np.random.default_rng(11))
     got = kg.spectral_norms(mats)
@@ -179,6 +183,18 @@ def test_spectral_norms_match_numpy_bitwise_in_input_order():
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert got[5] == 0.0
     assert kg.spectral_norms([]) == []
+    empty = _empty_matrices()
+    got = kg.spectral_norms([mats[0], *empty, mats[1]])
+    want = [float(np.linalg.norm(m, 2)) for m in (mats[0], *empty, mats[1])]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_psd_verdict_reads_an_empty_block_as_zero():
+    verdict = kg.psd_verdict([np.zeros((0, 0)), np.eye(2)])
+    assert verdict.is_positive and verdict.hermitian_ok
+    assert verdict.worst_block == 0
+    assert verdict.min_eigenvalue == 0.0
+    assert not kg.psd_verdict([np.zeros((0, 0)), -np.eye(2)]).is_positive
 
 
 def test_stacked_hermitian_kernels_match_numpy_bitwise():

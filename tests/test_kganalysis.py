@@ -6,6 +6,7 @@ import pytest
 
 import kgframes as kg
 from kgframes.generators import clamped_square, draw_spec, generate
+from kgframes.kganalysis import tightness_scale
 from helpers import column_member, pinned_example, single_block_shape, square_op
 
 
@@ -104,7 +105,7 @@ def test_pinned_example_is_not_tight_despite_equal_ranges():
     assert not report.tight
     assert report.ranges_match
     assert report.residual > 1e-2
-    assert kg.tightness_scale(frame, ident) == (False, report.scale, report.residual)
+    assert tightness_scale(frame, ident) == (False, report.scale, report.residual)
 
 
 def test_scaled_coordinate_frame_is_tight():
@@ -119,7 +120,7 @@ def test_scaled_coordinate_frame_is_tight():
     assert report.scale == pytest.approx(2.0, abs=1e-12)
     assert report.residual <= 1e-12
     assert report.ranges_match
-    assert kg.tightness_scale(frame, ident) == (True, report.scale, report.residual)
+    assert tightness_scale(frame, ident) == (True, report.scale, report.residual)
 
 
 def test_generated_tight_families_recover_their_scale():

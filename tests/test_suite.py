@@ -86,6 +86,43 @@ def test_tightness_scaling_passes_where_a_draw_is_one_dimensional(seed):
     assert kg.run_theorem_suite(cfg).reports[0].passes == 50
 
 
+def test_tightness_scaling_ends_when_the_caps_admit_dimension_one_only():
+    caps = kg.Caps(1, 1, 1, 1, 1)
+    cfg = kg.SuiteConfig(trials=5, caps=caps, check_ids=("tightness_scaling",))
+    assert kg.run_theorem_suite(cfg).reports[0].passes == 5
+    outcome = kg.run_check(cfg, "tightness_scaling", 0)
+    assert outcome.measured["generic_skipped"] is True
+    assert len(outcome.specs) == 1
+
+
+def test_tightness_scaling_widens_a_run_of_one_dimensional_draws():
+    # seed 3, trial 27 draws total dimension one on every redraw under
+    # these caps, so the negative instance is widened to module rank two
+    caps = kg.Caps(1, 1, 2, 2, 1)
+    cfg = kg.SuiteConfig(seed=3, caps=caps, check_ids=("tightness_scaling",))
+    outcome = kg.run_check(cfg, "tightness_scaling", 27)
+    assert outcome.ok
+    neg = outcome.specs[1]
+    assert neg["module_rank"] == 2 and tuple(neg["codomain_ranks"]) == (1, 1)
+
+
+def test_fault_injection_reaches_a_redrawn_negative_instance():
+    seen = []
+
+    def record(check_id, trial, inst):
+        seen.append((check_id, inst.spec.kind))
+        return inst
+
+    cfg = kg.SuiteConfig(
+        seed=3,
+        caps=kg.Caps(1, 1, 2, 2, 1),
+        check_ids=("tightness_scaling",),
+        fault_injection=record,
+    )
+    kg.run_check(cfg, "tightness_scaling", 27)
+    assert seen == [("tightness_scaling", "tight"), ("tightness_scaling", "generic")]
+
+
 def test_tol_psd_reaches_the_positivity_verdicts():
     default = kg.result_to_document(kg.run_theorem_suite(kg.SuiteConfig(trials=5)))
     loose = kg.result_to_document(
