@@ -15,18 +15,16 @@ import numpy as np
 
 from .algebra import TOL_PSD, TOL_RANK
 from .docio import (
-    DOCUMENT_VERSION,
     InstanceDocument,
-    build_document,
+    build_certificate,
     document_from_json,
     document_to_json,
-    operator_from_payload,
-    operator_to_payload,
+    parse_certificate,
 )
 from .duality import canonical_k_dual, verify_k_dual
 from .errors import DualityError, KGFrameError
 from .generators import Caps
-from .gframes import GFrame, is_g_complete, optimal_g_bounds
+from .gframes import is_g_complete, optimal_g_bounds
 from .kganalysis import is_kg_frame, tightness_scale
 from .operators import TOL_EQ
 from .suite import (
@@ -183,80 +181,26 @@ def _cmd_dual(args: argparse.Namespace) -> int:
             f"{_fmt(result.smallest_retained_ratio)})",
             file=sys.stderr,
         )
-    payload = {
-        "version": DOCUMENT_VERSION,
-        "kind": "dual-certificate",
-        "instance": build_document(
-            doc.shape, doc.module_rank, doc.frame, doc.operators
-        ),
-        "reference": args.reference,
-        "dual_frame": [
-            {
-                "codomain_rank": mem.codomain_rank,
-                "coeffs": operator_to_payload(mem)["coeffs"],
-            }
-            for mem in result.frame.members
-        ],
-        "certificate": {
-            "construction": result.certificate.construction,
-            "residual": result.certificate.residual,
-            "is_dual": result.certificate.is_dual,
-            "tol_eq": args.tol_eq,
-        },
-    }
+    payload = build_certificate(
+        doc, args.reference, result.frame, result.certificate, args.tol_eq
+    )
     _write_text(args.output, document_to_json(payload))
     return EXIT_OK
 
 
 def _recheck_dual(args: argparse.Namespace) -> int:
-    import json
-
-    try:
-        payload = json.loads(_read_text(args.input))
-    except json.JSONDecodeError as exc:
-        print(f"not valid JSON: {exc.msg} at line {exc.lineno}", file=sys.stderr)
-        return EXIT_ERROR
-    if not isinstance(payload, dict) or payload.get("kind") != "dual-certificate":
-        print("expected a dual-certificate document", file=sys.stderr)
-        return EXIT_ERROR
-    from .docio import parse_document
-
-    doc = parse_document(payload.get("instance"))
-    ref_name = payload.get("reference", "reference")
-    k_op = _get_reference(doc, ref_name)
-    if k_op is None:
-        print(f"instance has no operator named {ref_name!r}", file=sys.stderr)
-        return EXIT_ERROR
-    dual_payload = payload.get("dual_frame")
-    if not isinstance(dual_payload, list) or not dual_payload:
-        print("missing dual_frame members", file=sys.stderr)
-        return EXIT_ERROR
-    members = []
-    for i, entry in enumerate(dual_payload):
-        members.append(
-            operator_from_payload(
-                doc.shape,
-                {
-                    "domain_rank": doc.module_rank,
-                    "codomain_rank": entry.get("codomain_rank"),
-                    "coeffs": entry.get("coeffs"),
-                },
-                f"$.dual_frame[{i}]",
-            )
-        )
-    xi = GFrame(members)
-    cert = verify_k_dual(doc.frame, xi, k_op, tol_eq=args.tol_eq)
-    recorded = payload.get("certificate", {})
-    recorded_residual = recorded.get("residual")
-    reproduced = (
-        isinstance(recorded_residual, (int, float))
-        and abs(float(recorded_residual) - cert.residual)
-        <= 1e-10 * (1.0 + abs(float(recorded_residual)))
+    cert_doc = parse_certificate(_read_text(args.input))
+    doc = cert_doc.instance
+    k_op = _get_reference(doc, cert_doc.reference)
+    cert = verify_k_dual(doc.frame, cert_doc.dual_frame, k_op, tol_eq=args.tol_eq)
+    recorded = cert_doc.residual
+    reproduced = recorded is not None and abs(recorded - cert.residual) <= 1e-10 * (
+        1.0 + abs(recorded)
     )
     print(
-        f"recorded residual: {_fmt(float(recorded_residual))}"
-        if isinstance(recorded_residual, (int, float))
-        else "recorded residual: missing"
+        "recorded residual: missing"
+        if recorded is None
+        else f"recorded residual: {_fmt(recorded)}"
     )
     print(f"recomputed residual: {_fmt(cert.residual)}")
     print(f"dual: {'yes' if cert.is_dual else 'no'}  reproduced: {'yes' if reproduced else 'no'}")

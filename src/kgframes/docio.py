@@ -1,26 +1,42 @@
-"""JSON documents for instances: algebra shape, frame members, operators.
+"""JSON documents for instances and dual certificates.
 
 Coefficients are stored exactly: every complex scalar is a [real, imag]
 pair, every algebra element is its list of row-major block matrices, and
 every operator is the full domain-by-codomain grid of its coefficients.
 Realizations are never serialized; they are rebuilt from coefficients on
 parse, so a document round-trips bit for bit.
+
+Each block of an operator's grid is converted as one numpy array, both
+ways.  A grid holds lists (or tuples) and numbers of type exactly int or
+float, which is what `json.loads` produces; anything else, and any
+non-finite number, is an error naming the JSON path of the first bad entry.
+
+A document is written as one deterministic line with sorted keys and no
+spaces; `python3 -m json.tool` pretty-prints it.  Documents written in the
+older indented layout read the same, since only whitespace differs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape
 from .errors import DocumentError
 from .gframes import GFrame
 from .operators import ModuleOperator
 
 DOCUMENT_VERSION = "1"
+CERTIFICATE_KIND = "dual-certificate"
+
+_SEQUENCES = (list, tuple)
+_NUMBERS = (int, float)
+_GRID_TYPES = frozenset(_SEQUENCES + _NUMBERS)
 
 
 # -- low-level payload helpers --------------------------------------------
@@ -35,74 +51,105 @@ def _require(cond: bool, path: str, message: str) -> None:
         _fail(path, message)
 
 
-def _as_real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _is_sequence(payload, length: int) -> bool:
+    return type(payload) in _SEQUENCES and len(payload) == length
+
+
+def _check_real(value, path: str) -> None:
+    if type(value) not in _NUMBERS:
         _fail(path, f"expected a real number, got {type(value).__name__}")
-    value = float(value)
-    if not np.isfinite(value):
+    try:
+        finite = math.isfinite(float(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         _fail(path, "expected a finite number")
-    return value
 
 
-def _scalar_from(payload, path: str) -> complex:
-    _require(
-        isinstance(payload, (list, tuple)) and len(payload) == 2,
-        path,
-        "expected a [real, imag] pair",
-    )
-    return complex(_as_real(payload[0], f"{path}[0]"), _as_real(payload[1], f"{path}[1]"))
-
-
-def _scalar_to(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
-
-
-def _matrix_from(payload, n: int, path: str) -> np.ndarray:
-    _require(
-        isinstance(payload, (list, tuple)) and len(payload) == n,
-        path,
-        f"expected {n} rows",
-    )
-    out = np.zeros((n, n), dtype=complex)
+def _check_matrix(payload, n: int, path: str) -> None:
+    _require(_is_sequence(payload, n), path, f"expected {n} rows")
     for r, row in enumerate(payload):
-        _require(
-            isinstance(row, (list, tuple)) and len(row) == n,
-            f"{path}[{r}]",
-            f"expected {n} entries",
-        )
+        _require(_is_sequence(row, n), f"{path}[{r}]", f"expected {n} entries")
         for c, entry in enumerate(row):
-            out[r, c] = _scalar_from(entry, f"{path}[{r}][{c}]")
-    return out
+            where = f"{path}[{r}][{c}]"
+            _require(_is_sequence(entry, 2), where, "expected a [real, imag] pair")
+            _check_real(entry[0], f"{where}[0]")
+            _check_real(entry[1], f"{where}[1]")
 
 
-def _matrix_to(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[_scalar_to(complex(v)) for v in row] for row in mat]
+def _locate_defect(shape: AlgebraShape, coeffs, d: int, c: int, path: str) -> None:
+    """Raise the error for the first malformed entry of a coefficient grid.
+
+    Runs only after the array conversion rejected the grid, so it must find
+    a defect; the entries are visited in document order.
+    """
+    for i, row in enumerate(coeffs):
+        _require(_is_sequence(row, c), f"{path}[{i}]", f"expected {c} coefficients")
+        for j, entry in enumerate(row):
+            where = f"{path}[{i}][{j}]"
+            _require(
+                _is_sequence(entry, shape.block_count),
+                where,
+                f"expected {shape.block_count} blocks",
+            )
+            for k, n in enumerate(shape):
+                _check_matrix(entry[k], n, f"{where}[{k}]")
+    raise RuntimeError(f"{path}: coefficient grid rejected, but no entry is malformed")
 
 
-def element_to_payload(elem: AlgebraElement) -> list:
-    return [_matrix_to(blk) for blk in elem.blocks]
+def _realization(grid, n: int, d: int, c: int) -> np.ndarray | None:
+    """Realization block (d n, c n) from a d x c grid of n x n pair matrices.
+
+    None if the grid is ragged, holds anything but lists, tuples, ints and
+    floats, or holds a non-finite number.
+    """
+    try:
+        arr = np.array(grid, dtype=float)
+        if arr.shape != (d, c, n, n, 2):
+            return None
+        mats = list(chain.from_iterable(grid))
+        rows = list(chain.from_iterable(mats))
+        pairs = list(chain.from_iterable(rows))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    kinds = set(map(type, chain(mats, rows, pairs, chain.from_iterable(pairs))))
+    if not kinds <= _GRID_TYPES or not np.isfinite(arr).all():
+        return None
+    # a float64 [re, im] pair has the memory layout of one complex128
+    entries = arr.view(complex)[..., 0]
+    return entries.transpose(0, 2, 1, 3).reshape(d * n, c * n)
 
 
-def element_from_payload(shape: AlgebraShape, payload, path: str) -> AlgebraElement:
-    _require(
-        isinstance(payload, (list, tuple)) and len(payload) == shape.block_count,
-        path,
-        f"expected {shape.block_count} blocks",
-    )
-    blocks = [
-        _matrix_from(blk, n, f"{path}[{k}]")
-        for k, (n, blk) in enumerate(zip(shape, payload))
-    ]
-    return AlgebraElement(shape, blocks)
+def _realizations(shape: AlgebraShape, coeffs, d: int, c: int) -> list | None:
+    """One realization block per algebra block, or None if the grid is malformed."""
+    if not all(_is_sequence(row, c) for row in coeffs):
+        return None
+    if not all(
+        _is_sequence(entry, shape.block_count) for entry in chain.from_iterable(coeffs)
+    ):
+        return None
+    blocks = []
+    for k, n in enumerate(shape):
+        blk = _realization([[entry[k] for entry in row] for row in coeffs], n, d, c)
+        if blk is None:
+            return None
+        blocks.append(blk)
+    return blocks
+
+
+def _grid(blk: np.ndarray, n: int, d: int, c: int) -> list:
+    pairs = np.stack([blk.real, blk.imag], -1)
+    return pairs.reshape(d, n, c, n, 2).transpose(0, 2, 1, 3, 4).tolist()
 
 
 def operator_to_payload(op: ModuleOperator) -> dict:
+    d, c = op.domain_rank, op.codomain_rank
+    grids = [_grid(blk, n, d, c) for n, blk in zip(op.shape, op.blocks)]
     return {
-        "domain_rank": op.domain_rank,
-        "codomain_rank": op.codomain_rank,
+        "domain_rank": d,
+        "codomain_rank": c,
         "coeffs": [
-            [element_to_payload(op.coeff(i, j)) for j in range(op.codomain_rank)]
-            for i in range(op.domain_rank)
+            [[grid[i][j] for grid in grids] for j in range(c)] for i in range(d)
         ],
     }
 
@@ -123,26 +170,52 @@ def operator_from_payload(shape: AlgebraShape, payload, path: str) -> ModuleOper
         f"{path}.codomain_rank",
         "expected a positive integer",
     )
-    coeffs_payload = payload["coeffs"]
+    coeffs = payload["coeffs"]
     _require(
-        isinstance(coeffs_payload, (list, tuple)) and len(coeffs_payload) == d,
+        isinstance(coeffs, (list, tuple)) and len(coeffs) == d,
         f"{path}.coeffs",
         f"expected {d} coefficient rows",
     )
-    coeffs: list[list[AlgebraElement]] = []
-    for i, row in enumerate(coeffs_payload):
-        _require(
-            isinstance(row, (list, tuple)) and len(row) == c,
-            f"{path}.coeffs[{i}]",
-            f"expected {c} coefficients",
+    blocks = _realizations(shape, coeffs, d, c)
+    if blocks is None:
+        _locate_defect(shape, coeffs, d, c, f"{path}.coeffs")
+    return ModuleOperator(shape, d, c, blocks)
+
+
+def _member_payload(op: ModuleOperator) -> dict:
+    return {"codomain_rank": op.codomain_rank, "coeffs": operator_to_payload(op)["coeffs"]}
+
+
+def _members_from(shape: AlgebraShape, rank: int, payload, path: str) -> GFrame:
+    _require(
+        isinstance(payload, (list, tuple)) and len(payload) >= 1,
+        path,
+        "expected a non-empty list of members",
+    )
+    members = []
+    for i, entry in enumerate(payload):
+        where = f"{path}[{i}]"
+        _require(isinstance(entry, dict), where, "expected an object")
+        _require("codomain_rank" in entry, where, "missing field 'codomain_rank'")
+        _require("coeffs" in entry, where, "missing field 'coeffs'")
+        op = operator_from_payload(
+            shape,
+            {
+                "domain_rank": rank,
+                "codomain_rank": entry["codomain_rank"],
+                "coeffs": entry["coeffs"],
+            },
+            where,
         )
-        coeffs.append(
-            [
-                element_from_payload(shape, entry, f"{path}.coeffs[{i}][{j}]")
-                for j, entry in enumerate(row)
-            ]
-        )
-    return ModuleOperator.from_coeffs(coeffs)
+        members.append(op)
+    return GFrame(members)
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"$: not valid JSON ({exc.msg} at line {exc.lineno})")
 
 
 # -- whole documents --------------------------------------------------------
@@ -168,13 +241,7 @@ def build_document(
         "version": DOCUMENT_VERSION,
         "algebra": {"blocks": [int(n) for n in shape]},
         "module_rank": int(module_rank),
-        "frame": [
-            {
-                "codomain_rank": mem.codomain_rank,
-                "coeffs": operator_to_payload(mem)["coeffs"],
-            }
-            for mem in frame.members
-        ],
+        "frame": [_member_payload(mem) for mem in frame.members],
         "operators": {
             name: operator_to_payload(op)
             for name, op in sorted((operators or {}).items())
@@ -184,62 +251,45 @@ def build_document(
 
 
 def parse_document(payload) -> InstanceDocument:
-    _require(isinstance(payload, dict), "$", "expected a JSON object")
+    return _instance_from(payload, "$")
+
+
+def _instance_from(payload, root: str) -> InstanceDocument:
+    """Parse an instance document found at JSON path `root`."""
+    _require(isinstance(payload, dict), root, "expected a JSON object")
     version = payload.get("version")
     _require(
         version == DOCUMENT_VERSION,
-        "$.version",
+        f"{root}.version",
         f"unsupported version {version!r}; this tool reads {DOCUMENT_VERSION!r}",
     )
     algebra = payload.get("algebra")
-    _require(isinstance(algebra, dict), "$.algebra", "expected an object")
+    _require(isinstance(algebra, dict), f"{root}.algebra", "expected an object")
     sizes = algebra.get("blocks")
     _require(
         isinstance(sizes, (list, tuple)) and len(sizes) >= 1,
-        "$.algebra.blocks",
+        f"{root}.algebra.blocks",
         "expected a non-empty list of block sizes",
     )
     for k, n in enumerate(sizes):
         _require(
             isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-            f"$.algebra.blocks[{k}]",
+            f"{root}.algebra.blocks[{k}]",
             "expected a positive integer",
         )
     shape = AlgebraShape(tuple(int(n) for n in sizes))
     rank = payload.get("module_rank")
     _require(
         isinstance(rank, int) and not isinstance(rank, bool) and rank >= 1,
-        "$.module_rank",
+        f"{root}.module_rank",
         "expected a positive integer",
     )
-    frame_payload = payload.get("frame")
-    _require(
-        isinstance(frame_payload, (list, tuple)) and len(frame_payload) >= 1,
-        "$.frame",
-        "expected a non-empty list of members",
-    )
-    members = []
-    for i, entry in enumerate(frame_payload):
-        path = f"$.frame[{i}]"
-        _require(isinstance(entry, dict), path, "expected an object")
-        _require("codomain_rank" in entry, path, "missing field 'codomain_rank'")
-        _require("coeffs" in entry, path, "missing field 'coeffs'")
-        op = operator_from_payload(
-            shape,
-            {
-                "domain_rank": rank,
-                "codomain_rank": entry["codomain_rank"],
-                "coeffs": entry["coeffs"],
-            },
-            path,
-        )
-        members.append(op)
-    frame = GFrame(members)
+    frame = _members_from(shape, rank, payload.get("frame"), f"{root}.frame")
     operators: dict[str, ModuleOperator] = {}
     ops_payload = payload.get("operators", {})
-    _require(isinstance(ops_payload, dict), "$.operators", "expected an object")
+    _require(isinstance(ops_payload, dict), f"{root}.operators", "expected an object")
     for name, entry in ops_payload.items():
-        op = operator_from_payload(shape, entry, f"$.operators.{name}")
+        op = operator_from_payload(shape, entry, f"{root}.operators.{name}")
         operators[name] = op
     return InstanceDocument(
         shape=shape, module_rank=int(rank), frame=frame, operators=operators
@@ -247,12 +297,87 @@ def parse_document(payload) -> InstanceDocument:
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def document_from_json(text: str) -> InstanceDocument:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"$: not valid JSON ({exc.msg} at line {exc.lineno})")
-    return parse_document(payload)
+    return parse_document(_loads(text))
+
+
+# -- dual certificates ------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CertificateDocument:
+    """Parsed dual certificate: the instance, its dual family, the record.
+
+    `residual` is None when the certificate records no real number.
+    """
+
+    instance: InstanceDocument
+    reference: str
+    dual_frame: GFrame
+    residual: float | None
+
+
+def build_certificate(
+    instance: InstanceDocument,
+    reference: str,
+    dual_frame: GFrame,
+    certificate,
+    tol_eq: float,
+) -> dict:
+    """Certificate payload for a dual family of `instance`'s frame.
+
+    `certificate` is the `DualCertificate` that verified the family.
+    """
+    return {
+        "version": DOCUMENT_VERSION,
+        "kind": CERTIFICATE_KIND,
+        "instance": build_document(
+            instance.shape, instance.module_rank, instance.frame, instance.operators
+        ),
+        "reference": reference,
+        "dual_frame": [_member_payload(mem) for mem in dual_frame.members],
+        "certificate": {
+            "construction": certificate.construction,
+            "residual": certificate.residual,
+            "is_dual": certificate.is_dual,
+            "tol_eq": tol_eq,
+        },
+    }
+
+
+def parse_certificate(text: str) -> CertificateDocument:
+    payload = _loads(text)
+    _require(isinstance(payload, dict), "$", "expected a JSON object")
+    _require(
+        payload.get("kind") == CERTIFICATE_KIND,
+        "$.kind",
+        f"expected a {CERTIFICATE_KIND} document",
+    )
+    instance = _instance_from(payload.get("instance"), "$.instance")
+    reference = payload.get("reference", "reference")
+    _require(isinstance(reference, str), "$.reference", "expected a string")
+    _require(
+        reference in instance.operators,
+        "$.reference",
+        f"instance has no operator named {reference!r}",
+    )
+    dual_frame = _members_from(
+        instance.shape, instance.module_rank, payload.get("dual_frame"), "$.dual_frame"
+    )
+    record = payload.get("certificate", {})
+    _require(isinstance(record, dict), "$.certificate", "expected an object")
+    residual = record.get("residual")
+    if type(residual) in _NUMBERS:
+        try:
+            residual = float(residual)
+        except OverflowError:  # an int beyond the float range
+            residual = math.inf
+    else:
+        residual = None
+    return CertificateDocument(
+        instance=instance, reference=reference, dual_frame=dual_frame, residual=residual
+    )
+

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, certificates, report determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -100,6 +101,42 @@ def test_recheck_rejects_wrong_kind(pinned_doc, capsys):
     assert main(["dual", str(pinned_doc), "--recheck"]) == 1
     err = capsys.readouterr().err
     assert "dual-certificate" in err
+
+
+@pytest.fixture()
+def certificate(pinned_doc, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["dual", str(pinned_doc), "-o", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda p: p.update(certificate=[1]), r"\$\.certificate"),
+        (lambda p: p["dual_frame"].__setitem__(0, "member"), r"\$\.dual_frame\[0\]"),
+        (lambda p: p.update(reference=7), r"\$\.reference"),
+        (lambda p: p["instance"].update(module_rank=0), r"\$\.instance\.module_rank"),
+    ],
+    ids=["certificate", "dual_frame", "reference", "instance"],
+)
+def test_recheck_names_a_malformed_certificate_field(certificate, mutate, path, capsys):
+    payload = json.loads(certificate.read_text())
+    mutate(payload)
+    certificate.write_text(json.dumps(payload))
+    assert main(["dual", str(certificate), "--recheck"]) == 1
+    assert re.match(rf"^error: {path}: ", capsys.readouterr().err)
+
+
+def test_recheck_reads_a_boolean_residual_as_missing(certificate, capsys):
+    payload = json.loads(certificate.read_text())
+    payload["certificate"]["residual"] = True
+    certificate.write_text(json.dumps(payload))
+    assert main(["dual", str(certificate), "--recheck"]) == 2
+    out = capsys.readouterr().out
+    assert "recorded residual: missing" in out
+    assert "dual: yes  reproduced: no" in out
 
 
 def test_verify_is_deterministic(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kgframes as kg
+from kgframes.docio import build_certificate, parse_certificate
 from kgframes.generators import draw_spec, generate
 from helpers import pinned_example
 
@@ -139,3 +140,133 @@ def test_build_document_orders_operators_by_name():
         {"zeta": inst.k_op, "alpha": inst.k_op},
     )
     assert list(doc["operators"].keys()) == ["alpha", "zeta"]
+
+
+def _last_scalar_path(parsed):
+    """JSON path of the last member's last coefficient, last block, last entry."""
+    last = len(parsed.frame.members) - 1
+    member = parsed.frame.members[last]
+    n = parsed.shape.sizes[-1]
+    d, c = member.domain_rank - 1, member.codomain_rank - 1
+    k = parsed.shape.block_count - 1
+    return (last, d, c, k, n - 1), (
+        rf"\$\.frame\[{last}\]\.coeffs\[{d}\]\[{c}\]\[{k}\]\[{n - 1}\]\[{n - 1}\]"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "expected a real number, got bool"),
+        ("1.5", "expected a real number, got str"),
+        (None, "expected a real number, got NoneType"),
+        (float("nan"), "expected a finite number"),
+        (float("inf"), "expected a finite number"),
+        (-float("inf"), "expected a finite number"),
+        (10**400, "expected a finite number"),
+    ],
+    ids=["bool", "string", "null", "nan", "inf", "-inf", "huge-int"],
+)
+def test_a_bad_last_scalar_is_named_by_its_path(value, message):
+    _, text = _document_text()
+    (m, i, j, k, r), path = _last_scalar_path(kg.document_from_json(text))
+    payload = json.loads(text)
+    payload["frame"][m]["coeffs"][i][j][k][r][r][1] = value
+    # json.dumps writes nan and the infinities as the literals NaN, Infinity
+    bad = json.dumps(payload)
+    with pytest.raises(kg.DocumentError, match=rf"^{path}\[1\]: {message}$"):
+        kg.document_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "mutate, suffix, message",
+    [
+        (lambda mat, r: mat[r].pop(), "", "expected {n} entries"),
+        (lambda mat, r: mat[r][r].append(0.0), r"\[{r}\]", r"expected a \[real, imag\] pair"),
+    ],
+    ids=["short-row", "long-pair"],
+)
+def test_a_ragged_last_block_is_named_by_its_path(mutate, suffix, message):
+    _, text = _document_text()
+    parsed = kg.document_from_json(text)
+    (m, i, j, k, r), path = _last_scalar_path(parsed)
+    payload = json.loads(text)
+    mutate(payload["frame"][m]["coeffs"][i][j][k], r)
+    row_path = path[: path.rindex(r"\[")]
+    want = rf"^{row_path}{suffix.format(r=r)}: {message.format(n=r + 1)}$"
+    with pytest.raises(kg.DocumentError, match=want):
+        kg.document_from_json(json.dumps(payload))
+
+
+def test_integer_entries_are_accepted_and_negative_zero_survives():
+    inst, text = _document_text()
+    payload = json.loads(text)
+    (m, i, j, k, r), _ = _last_scalar_path(kg.document_from_json(text))
+    payload["frame"][m]["coeffs"][i][j][k][r][r] = [3, -0.0]
+    parsed = kg.document_from_json(json.dumps(payload))
+    n = parsed.shape.sizes[k]
+    entry = parsed.frame.members[m].blocks[k][i * n + r, j * n + r]
+    assert entry.real == 3.0 and entry.imag == 0.0
+    assert np.signbit(entry.imag)
+
+    again = kg.document_from_json(
+        kg.document_to_json(
+            kg.build_document(parsed.shape, parsed.module_rank, parsed.frame)
+        )
+    )
+    for a, b in zip(parsed.frame.members[m].blocks, again.frame.members[m].blocks):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_valid_documents_never_walk_their_entries(monkeypatch):
+    from kgframes import docio
+
+    def walk(*args):
+        raise AssertionError("per-entry walk ran on a valid document")
+
+    monkeypatch.setattr(docio, "_locate_defect", walk)
+    monkeypatch.setattr(docio, "_check_matrix", walk)
+    _, text = _document_text()
+    kg.document_from_json(text)
+
+
+def _blocks(parsed):
+    members = [m.blocks for m in parsed.frame.members]
+    return members + [op.blocks for _, op in sorted(parsed.operators.items())]
+
+
+@pytest.mark.parametrize("kind", ["generic", "rank_deficient_K", "tight"])
+def test_one_line_layout_holds_the_indented_value(kind):
+    inst = generate(draw_spec(kind, 23, basis_compatible=True))
+    doc = kg.build_document(
+        inst.shape, inst.frame.domain_rank, inst.frame, {"reference": inst.k_op}
+    )
+    text = kg.document_to_json(doc)
+    indented = json.dumps(doc, sort_keys=True, indent=2)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == json.loads(indented)
+    for new, old in zip(
+        _blocks(kg.document_from_json(text)), _blocks(kg.document_from_json(indented))
+    ):
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_certificates_read_the_same_in_both_layouts():
+    shape, frame, k_op = pinned_example()
+    instance = kg.document_from_json(
+        kg.document_to_json(kg.build_document(shape, 2, frame, {"reference": k_op}))
+    )
+    result = kg.canonical_k_dual(instance.frame, k_op)
+    payload = build_certificate(
+        instance, "reference", result.frame, result.certificate, 1e-8
+    )
+    text = kg.document_to_json(payload)
+    indented = json.dumps(payload, sort_keys=True, indent=2)
+    assert json.loads(text) == json.loads(indented)
+    new, old = parse_certificate(text), parse_certificate(indented)
+    assert new.reference == old.reference == "reference"
+    assert new.residual == old.residual == result.certificate.residual
+    for a, b in zip(new.dual_frame.members, old.dual_frame.members):
+        for x, y in zip(a.blocks, b.blocks):
+            assert x.tobytes() == y.tobytes()
