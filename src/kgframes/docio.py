@@ -77,7 +77,7 @@ def _check_matrix(payload, n: int, path: str) -> None:
             _check_real(entry[1], f"{where}[1]")
 
 
-def _locate_defect(shape: AlgebraShape, coeffs, d: int, c: int, path: str) -> None:
+def _locate_defect(shape: AlgebraShape, coeffs, c: int, path: str) -> None:
     """Raise the error for the first malformed entry of a coefficient grid.
 
     Runs only after the array conversion rejected the grid, so it must find
@@ -178,7 +178,7 @@ def operator_from_payload(shape: AlgebraShape, payload, path: str) -> ModuleOper
     )
     blocks = _realizations(shape, coeffs, d, c)
     if blocks is None:
-        _locate_defect(shape, coeffs, d, c, f"{path}.coeffs")
+        _locate_defect(shape, coeffs, c, f"{path}.coeffs")
     return ModuleOperator(shape, d, c, blocks)
 
 
