@@ -225,7 +225,6 @@ def test_valid_documents_never_walk_their_entries(monkeypatch):
         raise AssertionError("per-entry walk ran on a valid document")
 
     monkeypatch.setattr(docio, "_locate_defect", walk)
-    monkeypatch.setattr(docio, "_check_matrix", walk)
     _, text = _document_text()
     kg.document_from_json(text)
 
