@@ -167,12 +167,18 @@ def _cmd_dual(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
+    tol_eq = TOL_EQ if args.tol_eq is None else args.tol_eq
     try:
-        result = canonical_k_dual(
-            doc.frame, k_op, tol_eq=args.tol_eq, rel_tol=args.tol_rank
-        )
+        result = canonical_k_dual(doc.frame, k_op, tol_eq=tol_eq, rel_tol=args.tol_rank)
     except DualityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    if not result.certificate.is_dual:
+        print(
+            "refused: the constructed family fails its own dual check: residual "
+            f"{_fmt(result.certificate.residual)} at tol_eq {_fmt(tol_eq)}",
+            file=sys.stderr,
+        )
         return EXIT_REFUSED
     if result.conditioning_warning:
         print(
@@ -182,17 +188,20 @@ def _cmd_dual(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     payload = build_certificate(
-        doc, args.reference, result.frame, result.certificate, args.tol_eq
+        doc, args.reference, result.frame, result.certificate, tol_eq
     )
     _write_text(args.output, document_to_json(payload))
     return EXIT_OK
 
 
 def _recheck_dual(args: argparse.Namespace) -> int:
+    """Recompute a certificate's residual; judge it at the recorded tol_eq
+    unless --tol-eq is given, and refuse a certificate recording no dual."""
     cert_doc = parse_certificate(_read_text(args.input))
     doc = cert_doc.instance
     k_op = _get_reference(doc, cert_doc.reference)
-    cert = verify_k_dual(doc.frame, cert_doc.dual_frame, k_op, tol_eq=args.tol_eq)
+    tol_eq = cert_doc.tol_eq if args.tol_eq is None else args.tol_eq
+    cert = verify_k_dual(doc.frame, cert_doc.dual_frame, k_op, tol_eq=tol_eq)
     recorded = cert_doc.residual
     reproduced = recorded is not None and abs(recorded - cert.residual) <= 1e-10 * (
         1.0 + abs(recorded)
@@ -202,9 +211,11 @@ def _recheck_dual(args: argparse.Namespace) -> int:
         if recorded is None
         else f"recorded residual: {_fmt(recorded)}"
     )
-    print(f"recomputed residual: {_fmt(cert.residual)}")
+    print(f"recomputed residual: {_fmt(cert.residual)}  at tol_eq {_fmt(tol_eq)}")
+    print(f"recorded dual: {'yes' if cert_doc.is_dual else 'no'}")
     print(f"dual: {'yes' if cert.is_dual else 'no'}  reproduced: {'yes' if reproduced else 'no'}")
-    return EXIT_OK if (cert.is_dual and reproduced) else EXIT_REFUSED
+    ok = cert.is_dual and reproduced and cert_doc.is_dual
+    return EXIT_OK if ok else EXIT_REFUSED
 
 
 # -- verify ---------------------------------------------------------------
@@ -325,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-verify a previously emitted dual-certificate document",
     )
     _add_tolerance_flags(p_dual)
-    p_dual.set_defaults(fn=_cmd_dual)
+    # an absent --tol-eq means TOL_EQ for a new dual, the recorded one on --recheck
+    p_dual.set_defaults(fn=_cmd_dual, tol_eq=None)
 
     p_verify = sub.add_parser(
         "verify",

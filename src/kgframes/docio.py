@@ -311,13 +311,16 @@ def document_from_json(text: str) -> InstanceDocument:
 class CertificateDocument:
     """Parsed dual certificate: the instance, its dual family, the record.
 
-    `residual` is None when the certificate records no real number.
+    `residual` is None when the certificate records no real number;
+    `tol_eq` is the recorded tolerance and `is_dual` the recorded verdict.
     """
 
     instance: InstanceDocument
     reference: str
     dual_frame: GFrame
     residual: float | None
+    tol_eq: float
+    is_dual: bool
 
 
 def build_certificate(
@@ -377,7 +380,17 @@ def parse_certificate(text: str) -> CertificateDocument:
             residual = math.inf
     else:
         residual = None
+    tol_eq = record.get("tol_eq")
+    _check_real(tol_eq, "$.certificate.tol_eq")
+    _require(tol_eq > 0, "$.certificate.tol_eq", "expected a positive number")
+    is_dual = record.get("is_dual")
+    _require(type(is_dual) is bool, "$.certificate.is_dual", "expected true or false")
     return CertificateDocument(
-        instance=instance, reference=reference, dual_frame=dual_frame, residual=residual
+        instance=instance,
+        reference=reference,
+        dual_frame=dual_frame,
+        residual=residual,
+        tol_eq=float(tol_eq),
+        is_dual=is_dual,
     )
 

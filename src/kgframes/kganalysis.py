@@ -27,6 +27,7 @@ from .operators import (
     douglas,
     pencil_over_spectrum,
     psd_quotient_max,
+    range_included,
 )
 
 
@@ -208,8 +209,7 @@ def kg_via_range(
     """
     _check_square_on_domain(frame, k_op)
     q_op = g_operator(frame, basis)
-    cert = douglas(k_op, q_op, tol_eq=tol_eq, rel_tol=rel_tol)
-    return cert.range_included
+    return range_included(k_op, q_op, tol_eq=tol_eq, rel_tol=rel_tol)
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,9 @@ class TightnessReport:
     """Whether one positive scale equates KK' with the frame operator.
 
     `ranges_match` reports the separate two-sided range-inclusion test
-    between K and the synthesis operator; equal ranges do not by
-    themselves imply tightness.
+    between K and the synthesis operator, by the projector route
+    (`range_included`) both ways; equal ranges do not by themselves imply
+    tightness.
     """
 
     tight: bool
@@ -260,16 +261,19 @@ def tightness_check(
     tol_eq: float = TOL_EQ,
     rel_tol: float = TOL_RANK,
 ) -> TightnessReport:
-    """Best single scale A with A*KK' = S, plus the range comparison."""
+    """Best single scale A with A*KK' = S, plus the range comparison.
+
+    The ranges match when `range_included` finds the range of K inside
+    that of the synthesis operator and the synthesis operator's inside
+    that of K; the second test is skipped when the first fails.
+    """
     tight, scale, residual = tightness_scale(frame, k_op, tol_eq=tol_eq)
     synthesis = frame.synthesis_operator()
-    forward = douglas(k_op, synthesis, tol_eq=tol_eq, rel_tol=rel_tol)
-    backward = douglas(synthesis, k_op, tol_eq=tol_eq, rel_tol=rel_tol)
+    ranges_match = range_included(
+        k_op, synthesis, tol_eq=tol_eq, rel_tol=rel_tol
+    ) and range_included(synthesis, k_op, tol_eq=tol_eq, rel_tol=rel_tol)
     return TightnessReport(
-        tight=tight,
-        scale=scale,
-        residual=residual,
-        ranges_match=forward.range_included and backward.range_included,
+        tight=tight, scale=scale, residual=residual, ranges_match=ranges_match
     )
 
 

@@ -8,8 +8,9 @@ application order is the matrix product of realizations in the same
 order, and the adjoint is the blockwise conjugate transpose.
 
 Spectral norms go through the one stacked kernel,
-`algebra.spectral_norms`, and Hermitian eigendecompositions through
-`algebra.eigh_each`: each makes one LAPACK call per block shape.  An
+`algebra.spectral_norms`, Hermitian eigendecompositions through
+`algebra.eigh_each`, and range projections through one stacked thin SVD:
+each makes one LAPACK call per block shape.  An
 operator's uniform norm and Hermitian spectrum are computed once and
 kept, so the frame operator shared by a frame's bounds, pencil and
 square root is decomposed once.
@@ -30,6 +31,7 @@ from .algebra import (
     AlgebraShape,
     PositivityVerdict,
     _check_same_shape,
+    _each,
     _freeze,
     eigh_each,
     leq,
@@ -46,6 +48,11 @@ _TINY = 1e-300
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
+
+
+def _row_spaces(stack: np.ndarray):
+    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
+    return zip(svals, vh)
 
 
 class ModuleOperator:
@@ -267,11 +274,12 @@ class ModuleOperator:
         """Self-adjoint idempotent projecting onto the range of this operator.
 
         Per block this is the orthogonal projector onto the row space of
-        the realization, acting on the codomain module.
+        the realization, acting on the codomain module.  The blocks are
+        decomposed by one stacked thin SVD per block shape, bitwise the
+        per-block np.linalg.svd(blk, full_matrices=False).
         """
         blocks = []
-        for blk in self.blocks:
-            _, svals, vh = np.linalg.svd(blk, full_matrices=False)
+        for svals, vh in _each(_row_spaces, self.blocks):
             keep = svals > rel_tol * max(float(svals[0]) if svals.size else 0.0, _TINY)
             vr = vh[keep].conj().T
             blocks.append(_hermitize(vr @ vr.conj().T))
@@ -466,7 +474,8 @@ def largest_lower_scale(
 class DouglasCertificate:
     """Joint verdict of the three equivalent range-majorization conditions.
 
-    range_included: projector route, range of T inside range of Z.
+    range_included: projector route (`range_included`), range of T
+    inside range of Z.
     alpha_min: smallest a with T T* <= a^2 Z Z* (inf when infeasible).
     factor: operator U with T = (apply U, then Z); residual is the
     uniform norm of the factorization defect.
@@ -487,23 +496,45 @@ class DouglasCertificate:
         )
 
 
+def range_included(
+    t_op: ModuleOperator,
+    z_op: ModuleOperator,
+    tol_eq: float = TOL_EQ,
+    rel_tol: float = TOL_RANK,
+) -> bool:
+    """Whether the range of t_op lies inside the range of z_op.
+
+    Projector route: with P the orthogonal projector onto the range of
+    z_op (singular values below rel_tol times the largest one dropped),
+    the inclusion holds when the uniform norm of (apply t_op, then I - P)
+    is at most tol_eq * (1 + |t_op|).  This is route 1 of `douglas`, for
+    callers that need the verdict and not the pencil or the factor.
+    """
+    _check_same_shape(t_op.shape, z_op.shape)
+    if t_op.codomain_rank != z_op.codomain_rank:
+        raise ShapeMismatch("operators must share their codomain")
+    slack = tol_eq * (1.0 + t_op.uniform_norm())
+    proj = z_op.range_projection(rel_tol=rel_tol)
+    complement = ModuleOperator.identity(t_op.shape, t_op.codomain_rank) - proj
+    return t_op.then(complement).uniform_norm() <= slack
+
+
 def douglas(
     t_op: ModuleOperator,
     z_op: ModuleOperator,
     tol_eq: float = TOL_EQ,
     rel_tol: float = TOL_RANK,
 ) -> DouglasCertificate:
-    """Decide range inclusion of t_op inside z_op three independent ways."""
-    _check_same_shape(t_op.shape, z_op.shape)
-    if t_op.codomain_rank != z_op.codomain_rank:
-        raise ShapeMismatch("operators must share their codomain")
-    t_norm = t_op.uniform_norm()
-    slack = tol_eq * (1.0 + t_norm)
+    """Decide range inclusion of t_op inside z_op three independent ways.
 
-    # route 1: orthogonal projector onto the range of z_op
-    proj = z_op.range_projection(rel_tol=rel_tol)
-    complement = ModuleOperator.identity(t_op.shape, t_op.codomain_rank) - proj
-    range_included = t_op.then(complement).uniform_norm() <= slack
+    Route 1 is `range_included`, the projector route; route 2 is the PSD
+    pencil of the absolute squares of t_op and z_op; route 3 factors t_op
+    through the pseudoinverse of z_op and measures the residual.
+    `conditions_agree` reports whether the three verdicts agree.
+    """
+    # route 1: orthogonal projector onto the range of z_op (checks shapes)
+    included = range_included(t_op, z_op, tol_eq=tol_eq, rel_tol=rel_tol)
+    slack = tol_eq * (1.0 + t_op.uniform_norm())
 
     # route 2: PSD pencil of the two absolute squares
     tt = [_hermitize(b.conj().T @ b) for b in t_op.blocks]
@@ -517,7 +548,7 @@ def douglas(
     factor_ok = residual <= slack
 
     return DouglasCertificate(
-        range_included=range_included,
+        range_included=included,
         pencil_included=pencil.included,
         alpha_min=alpha_min,
         factor=factor,

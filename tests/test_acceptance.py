@@ -77,6 +77,8 @@ def test_acceptance_02_factorization_agreement():
         cert = kg.douglas(t, z)
         if not cert.conditions_agree():
             break
+        if kg.range_included(t, z) != cert.range_included:
+            break
         agreements += 1
         if cert.range_included:
             included_checked += 1

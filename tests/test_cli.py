@@ -97,6 +97,16 @@ def test_dual_refuses_out_of_range_reference(deficient_doc, capsys):
     assert err.startswith("refused:")
 
 
+def test_dual_refuses_a_family_failing_its_own_check(pinned_doc, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["dual", str(pinned_doc), "--tol-eq", "1e-30", "-o", str(cert_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:")
+    assert "residual" in captured.err and "tol_eq 1e-30" in captured.err
+    assert not cert_path.exists()
+
+
 def test_recheck_rejects_wrong_kind(pinned_doc, capsys):
     assert main(["dual", str(pinned_doc), "--recheck"]) == 1
     err = capsys.readouterr().err
@@ -137,6 +147,27 @@ def test_recheck_reads_a_boolean_residual_as_missing(certificate, capsys):
     out = capsys.readouterr().out
     assert "recorded residual: missing" in out
     assert "dual: yes  reproduced: no" in out
+
+
+def test_recheck_refuses_a_certificate_recording_no_dual(certificate, capsys):
+    payload = json.loads(certificate.read_text())
+    payload["certificate"]["is_dual"] = False
+    certificate.write_text(json.dumps(payload))
+    assert main(["dual", str(certificate), "--recheck"]) == 2
+    out = capsys.readouterr().out
+    assert "recorded dual: no" in out
+    assert "dual: yes  reproduced: yes" in out
+
+
+def test_recheck_judges_at_the_recorded_tolerance(certificate, capsys):
+    payload = json.loads(certificate.read_text())
+    payload["certificate"]["tol_eq"] = 1e-30
+    certificate.write_text(json.dumps(payload))
+    assert main(["dual", str(certificate), "--recheck"]) == 2
+    assert "dual: no  reproduced: yes" in capsys.readouterr().out
+    # a tolerance given on the command line overrides the recorded one
+    assert main(["dual", str(certificate), "--recheck", "--tol-eq", "1e-8"]) == 0
+    assert "dual: yes  reproduced: yes" in capsys.readouterr().out
 
 
 def test_verify_is_deterministic(tmp_path, capsys):

@@ -251,7 +251,7 @@ def test_one_line_layout_holds_the_indented_value(kind):
             assert a.tobytes() == b.tobytes()
 
 
-def test_certificates_read_the_same_in_both_layouts():
+def _pinned_certificate():
     shape, frame, k_op = pinned_example()
     instance = kg.document_from_json(
         kg.document_to_json(kg.build_document(shape, 2, frame, {"reference": k_op}))
@@ -260,12 +260,54 @@ def test_certificates_read_the_same_in_both_layouts():
     payload = build_certificate(
         instance, "reference", result.frame, result.certificate, 1e-8
     )
+    return result, payload
+
+
+def test_certificates_read_the_same_in_both_layouts():
+    result, payload = _pinned_certificate()
     text = kg.document_to_json(payload)
     indented = json.dumps(payload, sort_keys=True, indent=2)
     assert json.loads(text) == json.loads(indented)
     new, old = parse_certificate(text), parse_certificate(indented)
     assert new.reference == old.reference == "reference"
     assert new.residual == old.residual == result.certificate.residual
+    assert new.tol_eq == old.tol_eq == 1e-8
+    assert new.is_dual is old.is_dual is True
     for a, b in zip(new.dual_frame.members, old.dual_frame.members):
         for x, y in zip(a.blocks, b.blocks):
             assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tol_eq", None, "expected a real number"),
+        ("tol_eq", "1e-8", "expected a real number"),
+        ("tol_eq", True, "expected a real number"),
+        ("tol_eq", 0, "expected a positive number"),
+        ("tol_eq", -1e-8, "expected a positive number"),
+        ("tol_eq", float("inf"), "expected a finite number"),
+        ("is_dual", None, "expected true or false"),
+        ("is_dual", 1, "expected true or false"),
+        ("is_dual", "true", "expected true or false"),
+    ],
+    ids=[
+        "tol_eq-missing",
+        "tol_eq-string",
+        "tol_eq-bool",
+        "tol_eq-zero",
+        "tol_eq-negative",
+        "tol_eq-inf",
+        "is_dual-missing",
+        "is_dual-int",
+        "is_dual-string",
+    ],
+)
+def test_certificate_record_errors_carry_their_path(field, value, message):
+    _, payload = _pinned_certificate()
+    if value is None:
+        del payload["certificate"][field]
+    else:
+        payload["certificate"][field] = value
+    with pytest.raises(kg.DocumentError, match=rf"^\$\.certificate\.{field}: {message}"):
+        parse_certificate(json.dumps(payload))

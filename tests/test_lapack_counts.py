@@ -2,7 +2,8 @@
 
 The counts are deterministic, so these ceilings hold on a noisy machine:
 spectral norms go through the stacked kernel (never np.linalg.norm with
-ord=2), and the frame operator is decomposed once per frame.
+ord=2), the frame operator is decomposed once per frame, and the range
+comparisons build projectors only (no pencil, no pseudoinverse).
 """
 
 import collections
@@ -13,11 +14,13 @@ import pytest
 import kgframes as kg
 from kgframes.generators import clamped_square, random_operator
 
-# eigh calls on the instance below: two block shapes (4x4 twice, 2x2 once)
-EIGH_CEILINGS = {
-    "is_kg_frame": 4,
-    "canonical_k_dual": 4,
-    "tightness_check": 8,
+# ceilings on the instances below: two block shapes (4x4 twice, 2x2 once);
+# an entry point absent from a table has no ceiling on that call
+CEILINGS = {
+    "is_kg_frame": {"eigh": 4},
+    "canonical_k_dual": {"eigh": 4},
+    "tightness_check": {"eigh": 0, "pinv": 0, "svd": 16},
+    "kg_via_range": {"eigh": 0, "pinv": 0},
 }
 
 
@@ -27,6 +30,15 @@ def _instance():
     shape = kg.AlgebraShape((2, 1, 2))
     frame = kg.GFrame([random_operator(rng, shape, 2, 1) for _ in range(6)])
     return frame, clamped_square(rng, shape, 2)
+
+
+def _basis_instance():
+    """The same algebra, 2 members of codomain rank 1 and a matching basis."""
+    rng = np.random.default_rng(11)
+    shape = kg.AlgebraShape((2, 1, 2))
+    frame = kg.GFrame([random_operator(rng, shape, 2, 1) for _ in range(2)])
+    basis = kg.canonical_basis(shape, 2, (1, 1))
+    return frame, clamped_square(rng, shape, 2), basis
 
 
 @pytest.fixture()
@@ -41,15 +53,20 @@ def linalg_counts(monkeypatch):
 
         return wrapper
 
-    for name in ("svd", "eigh", "norm"):
+    for name in ("svd", "eigh", "norm", "pinv"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
 
 
-@pytest.mark.parametrize("entry", sorted(EIGH_CEILINGS))
+@pytest.mark.parametrize("entry", sorted(CEILINGS))
 def test_entry_point_lapack_counts(entry, linalg_counts):
-    frame, k_op = _instance()
+    if entry == "kg_via_range":
+        frame, k_op, basis = _basis_instance()
+        args = (frame, k_op, basis)
+    else:
+        args = _instance()
     linalg_counts.clear()
-    getattr(kg, entry)(frame, k_op)
+    getattr(kg, entry)(*args)
     assert linalg_counts["norm2"] == 0
-    assert linalg_counts["eigh"] <= EIGH_CEILINGS[entry]
+    for name, ceiling in CEILINGS[entry].items():
+        assert linalg_counts[name] <= ceiling, name

@@ -135,6 +135,20 @@ def test_range_projection_and_rank_profile():
     assert square_op(shape, [[0, 0], [0, 0]]).rank_profile() == (0,)
 
 
+def test_stacked_range_projection_matches_per_block_svd_bitwise():
+    rng = np.random.default_rng(32)
+    # mixed block sizes, two blocks sharing a shape, one rank-deficient
+    shape = kg.AlgebraShape((3, 1, 3, 2))
+    low = random_operator(rng, shape, 3, 1).then(random_operator(rng, shape, 1, 2))
+    for op in (random_operator(rng, shape, 2, 3), low):
+        proj = op.range_projection()
+        for blk, got in zip(op.blocks, proj.blocks):
+            _, svals, vh = np.linalg.svd(blk, full_matrices=False)
+            vr = vh[svals > kg.TOL_RANK * max(float(svals[0]), 1e-300)].conj().T
+            want = vr @ vr.conj().T
+            assert np.array_equal(got, (want + want.conj().T) / 2.0)
+
+
 def test_operator_distance_and_arithmetic():
     rng = np.random.default_rng(29)
     shape = kg.AlgebraShape((2, 2))
@@ -210,6 +224,7 @@ def test_factorization_diagonal_oracle():
     z = square_op(shape, np.diag([1.0, 2.0, 0.0]))
     t = square_op(shape, np.diag([0.5, 1.0, 0.0]))
     cert = kg.douglas(t, z)
+    assert kg.range_included(t, z) == cert.range_included
     assert cert.range_included and cert.pencil_included and cert.factor_ok
     assert cert.conditions_agree()
     assert cert.alpha_min == pytest.approx(0.5, rel=1e-12)
@@ -223,6 +238,7 @@ def test_factorization_rejects_range_leak():
     z = square_op(shape, np.diag([1.0, 2.0, 0.0]))
     t = square_op(shape, np.diag([0.0, 0.0, 1.0]))
     cert = kg.douglas(t, z)
+    assert kg.range_included(t, z) == cert.range_included
     assert not cert.range_included
     assert not cert.pencil_included
     assert not cert.factor_ok
@@ -238,6 +254,7 @@ def test_factorization_by_construction_inclusion():
         z = random_operator(rng, shape, 3, 2)
         t = x.then(z)
         cert = kg.douglas(t, z)
+        assert kg.range_included(t, z) == cert.range_included
         assert cert.range_included and cert.conditions_agree()
         assert cert.residual <= 1e-8
         assert kg.operator_distance(cert.factor.then(z), t) <= 1e-8
@@ -251,6 +268,8 @@ def test_factorization_requires_matching_codomains():
     z = random_operator(rng, shape, 2, 2)
     with pytest.raises(kg.ShapeMismatch):
         kg.douglas(t, z)
+    with pytest.raises(kg.ShapeMismatch):
+        kg.range_included(t, z)
 
 
 # -- invertible norm envelope ----------------------------------------------
