@@ -118,10 +118,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         rep = is_kg_frame(frame, k_op, rel_tol=args.tol_rank)
         holds = rep.is_k_g_frame
-        lower = _fmt(rep.lower_c) if np.isfinite(rep.lower_c) else "inf"
         print(
             f"frame relative to {args.reference!r}: {'yes' if holds else 'no'}"
-            f"  optimal lower scale: {lower}"
+            f"  optimal lower scale: {_fmt(rep.lower_c)}"
         )
         if rep.degenerate_zero_k:
             print("note: the reference operator vanishes; the verdict is vacuous")

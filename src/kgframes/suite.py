@@ -55,6 +55,8 @@ from .gframes import (
     reconstruct_from_g_operator,
 )
 from .kganalysis import (
+    KGFrameReport,
+    QuotientReport,
     is_kg_frame,
     kg_via_range,
     quotient_bounded,
@@ -133,8 +135,25 @@ class SuiteResult:
 # -- helpers --------------------------------------------------------------
 
 
-def _f(x) -> float:
-    return float(x)
+def _outcome(
+    ok: bool,
+    measured: dict,
+    message: str,
+    *instances: Instance,
+    audited: dict | None = None,
+) -> TrialOutcome:
+    """A trial's outcome: specs from its instances, the message only on a
+    failure, and every measured value a plain bool or float."""
+    return TrialOutcome(
+        ok=ok,
+        measured={
+            key: bool(val) if isinstance(val, (bool, np.bool_)) else float(val)
+            for key, val in measured.items()
+        },
+        specs=tuple(spec_to_dict(inst.spec) for inst in instances),
+        message="" if ok else message,
+        audited=audited,
+    )
 
 
 def _rng_for(config: SuiteConfig, check_id: str, trial: int, tag: str):
@@ -167,6 +186,23 @@ def _abs_square(op: ModuleOperator) -> ModuleOperator:
     return op.adjoint().then(op)
 
 
+def _order_probe(
+    s_op: ModuleOperator, abs_sq: ModuleOperator, lower_c: float, tol_psd: float
+) -> tuple[bool, float, float | None]:
+    """Whether S - c|K|^2 is positive at c = lower_c (1 - 1e-9) and, when
+    lower_c > 1e-5, not positive at c = 2 lower_c; with the minimum
+    eigenvalue at each scale probed (None for the second when skipped)."""
+    below = (s_op - abs_sq.scale(lower_c * (1.0 - 1e-9))).positivity(tol_psd=tol_psd)
+    if lower_c <= 1e-5:
+        return below.is_positive, below.min_eigenvalue, None
+    above = (s_op - abs_sq.scale(lower_c * 2.0)).positivity(tol_psd=tol_psd)
+    return (
+        below.is_positive and not above.is_positive,
+        below.min_eigenvalue,
+        above.min_eigenvalue,
+    )
+
+
 # -- checks ---------------------------------------------------------------
 
 
@@ -193,38 +229,26 @@ def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
         and bessel_dev <= config.tol_eq * (1.0 + upper)
         and bound_margin <= 1e-9 * (1.0 + syn_norm)
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "adjoint_residual": _f(adjoint_res),
-            "frame_operator_residual": _f(s_res),
-            "bessel_deviation": _f(bessel_dev),
-            "sampled_bound_margin": _f(bound_margin),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "synthesis operator identities violated",
-    )
+    measured = {
+        "adjoint_residual": adjoint_res,
+        "frame_operator_residual": s_res,
+        "bessel_deviation": bessel_dev,
+        "sampled_bound_margin": bound_margin,
+    }
+    return _outcome(ok, measured, "synthesis operator identities violated", inst)
 
 
 def _psd_agreement(frame: GFrame, k_op: ModuleOperator, config: SuiteConfig) -> dict:
     rep = is_kg_frame(frame, k_op, rel_tol=config.rel_tol)
     abs_sq = _abs_square(k_op)
     s_op = frame.frame_operator()
-    out = {
-        "verdict": rep.is_k_g_frame,
-        "lower_c": _f(rep.lower_c) if np.isfinite(rep.lower_c) else np.inf,
-        "ok": True,
-    }
+    out = {"verdict": rep.is_k_g_frame, "lower_c": rep.lower_c, "ok": True}
     if rep.is_k_g_frame and np.isfinite(rep.lower_c) and rep.lower_c > 0:
-        at_optimum = s_op - abs_sq.scale(rep.lower_c * (1.0 - 1e-9))
-        verdict_at = at_optimum.positivity(tol_psd=config.tol_psd)
-        out["min_eig_at_optimum"] = _f(verdict_at.min_eigenvalue)
-        out["ok"] = bool(verdict_at.is_positive)
-        if rep.lower_c > 1e-5:
-            above = s_op - abs_sq.scale(rep.lower_c * 2.0)
-            verdict_above = above.positivity(tol_psd=config.tol_psd)
-            out["min_eig_above_optimum"] = _f(verdict_above.min_eigenvalue)
-            out["ok"] = out["ok"] and not verdict_above.is_positive
+        out["ok"], out["min_eig_at_optimum"], above = _order_probe(
+            s_op, abs_sq, rep.lower_c, config.tol_psd
+        )
+        if above is not None:
+            out["min_eig_above_optimum"] = above
     elif not rep.is_k_g_frame:
         probe = (
             1e-3
@@ -234,7 +258,7 @@ def _psd_agreement(frame: GFrame, k_op: ModuleOperator, config: SuiteConfig) -> 
         verdict_probe = (s_op - abs_sq.scale(probe)).positivity(
             tol_psd=config.tol_psd
         )
-        out["min_eig_at_probe"] = _f(verdict_probe.min_eigenvalue)
+        out["min_eig_at_probe"] = verdict_probe.min_eigenvalue
         out["ok"] = not verdict_probe.is_positive
     return out
 
@@ -262,11 +286,12 @@ def _check_psd_frame_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
             measured[f"generic_{key}"] = part_a[key]
         if key in part_b:
             measured[f"deficient_{key}"] = part_b[key]
-    return TrialOutcome(
-        ok=ok,
-        measured=measured,
-        specs=(spec_to_dict(inst_a.spec), spec_to_dict(inst_b.spec)),
-        message="" if ok else "positivity verdicts disagree with the optimal scale",
+    return _outcome(
+        ok,
+        measured,
+        "positivity verdicts disagree with the optimal scale",
+        inst_a,
+        inst_b,
     )
 
 
@@ -285,17 +310,13 @@ def _check_completeness_span(config: SuiteConfig, trial: int) -> TrialOutcome:
         and not killed_complete
         and not killed_bounds.is_frame(config.rel_tol)
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "complete": complete,
-            "has_positive_lower_bound": framey,
-            "lower_bound": _f(bounds.lower),
-            "killed_lower_bound": _f(killed_bounds.lower),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "completeness and frame verdicts disagree",
-    )
+    measured = {
+        "complete": complete,
+        "has_positive_lower_bound": framey,
+        "lower_bound": bounds.lower,
+        "killed_lower_bound": killed_bounds.lower,
+    }
+    return _outcome(ok, measured, "completeness and frame verdicts disagree", inst)
 
 
 def _check_g_operator_roundtrip(config: SuiteConfig, trial: int) -> TrialOutcome:
@@ -324,15 +345,13 @@ def _check_g_operator_roundtrip(config: SuiteConfig, trial: int) -> TrialOutcome
         and product_res <= 1e-10 * (1.0 + s_op.uniform_norm())
         and recon_dev <= 1e-12
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "extraction_distance": _f(q_dist),
-            "product_residual": _f(product_res),
-            "reconstruction_deviation": _f(recon_dev),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "square-operator extraction failed to round-trip",
+    measured = {
+        "extraction_distance": q_dist,
+        "product_residual": product_res,
+        "reconstruction_deviation": recon_dev,
+    }
+    return _outcome(
+        ok, measured, "square-operator extraction failed to round-trip", inst
     )
 
 
@@ -351,16 +370,12 @@ def _check_range_inclusion(config: SuiteConfig, trial: int) -> TrialOutcome:
         inst.frame, inst.k_op, inst.basis, tol_eq=config.tol_eq, rel_tol=config.rel_tol
     )
     ok = rep.is_k_g_frame == via_range
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "pencil_verdict": rep.is_k_g_frame,
-            "range_verdict": via_range,
-            "lower_c": _f(rep.lower_c) if np.isfinite(rep.lower_c) else np.inf,
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "pencil and range routes disagree",
-    )
+    measured = {
+        "pencil_verdict": rep.is_k_g_frame,
+        "range_verdict": via_range,
+        "lower_c": rep.lower_c,
+    }
+    return _outcome(ok, measured, "pencil and range routes disagree", inst)
 
 
 def _parseval_signature(
@@ -403,19 +418,17 @@ def _check_coisometric_parseval(config: SuiteConfig, trial: int) -> TrialOutcome
         and not parseval_scaled
         and (parseval_generic == (defect_generic <= 1e-10))
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "unitary_defect": _f(defect_pos),
-            "parseval_scale": _f(scale_pos),
-            "parseval_residual": _f(residual_pos),
-            "scaled_defect": _f(defect_scaled),
-            "scaled_scale": _f(scale_scaled),
-            "generic_defect": _f(defect_generic),
-            "generic_parseval": parseval_generic,
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "co-isometry and unit-scale tightness disagree",
+    measured = {
+        "unitary_defect": defect_pos,
+        "parseval_scale": scale_pos,
+        "parseval_residual": residual_pos,
+        "scaled_defect": defect_scaled,
+        "scaled_scale": scale_scaled,
+        "generic_defect": defect_generic,
+        "generic_parseval": parseval_generic,
+    }
+    return _outcome(
+        ok, measured, "co-isometry and unit-scale tightness disagree", inst
     )
 
 
@@ -439,16 +452,14 @@ def _check_dual_product(config: SuiteConfig, trial: int) -> TrialOutcome:
         and not cert_bad.is_dual
         and not via_bad
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "residual": _f(cert.residual),
-            "product_route": via,
-            "off_target_residual": _f(cert_bad.residual),
-            "off_target_product_route": via_bad,
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "duality and operator-product routes disagree",
+    measured = {
+        "residual": cert.residual,
+        "product_route": via,
+        "off_target_residual": cert_bad.residual,
+        "off_target_product_route": via_bad,
+    }
+    return _outcome(
+        ok, measured, "duality and operator-product routes disagree", inst
     )
 
 
@@ -473,11 +484,10 @@ def _check_canonical_dual(config: SuiteConfig, trial: int) -> TrialOutcome:
             and direct_dist <= 1e-9
         )
         measured = {
-            "residual": _f(result.certificate.residual),
-            "plain_inverse_distance": _f(direct_dist),
-            "retained_ratio": _f(result.smallest_retained_ratio),
+            "residual": result.certificate.residual,
+            "plain_inverse_distance": direct_dist,
+            "retained_ratio": result.smallest_retained_ratio,
         }
-        specs = (spec_to_dict(inst.spec),)
     else:
         inst = _make(
             config,
@@ -496,16 +506,12 @@ def _check_canonical_dual(config: SuiteConfig, trial: int) -> TrialOutcome:
             <= config.tol_eq * (1.0 + inst.k_op.uniform_norm())
         )
         measured = {
-            "residual": _f(result.certificate.residual),
-            "retained_ratio": _f(result.smallest_retained_ratio),
+            "residual": result.certificate.residual,
+            "retained_ratio": result.smallest_retained_ratio,
             "conditioning_warning": result.conditioning_warning,
         }
-        specs = (spec_to_dict(inst.spec),)
-    return TrialOutcome(
-        ok=ok,
-        measured=measured,
-        specs=specs,
-        message="" if ok else "canonical dual construction failed verification",
+    return _outcome(
+        ok, measured, "canonical dual construction failed verification", inst
     )
 
 
@@ -566,16 +572,14 @@ def _check_zero_overlap(config: SuiteConfig, trial: int) -> TrialOutcome:
         and not rep_neg.is_dual
         and rep_neg.agree
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "overlap": _f(rep_pos.overlap_norm),
-            "residual": _f(rep_pos.certificate.residual),
-            "bad_overlap": _f(rep_neg.overlap_norm),
-            "bad_residual": _f(rep_neg.certificate.residual),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "overlap predicate disagrees with the duality verdict",
+    measured = {
+        "overlap": rep_pos.overlap_norm,
+        "residual": rep_pos.certificate.residual,
+        "bad_overlap": rep_neg.overlap_norm,
+        "bad_residual": rep_neg.certificate.residual,
+    }
+    return _outcome(
+        ok, measured, "overlap predicate disagrees with the duality verdict", inst
     )
 
 
@@ -604,15 +608,13 @@ def _check_dual_combination(config: SuiteConfig, trial: int) -> TrialOutcome:
         and not bad.certificate.is_dual
         and bad.certificate.residual >= 1e-4
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "midpoint_residual": _f(mid.certificate.residual),
-            "random_residual": _f(rand.certificate.residual),
-            "gap_residual": _f(bad.certificate.residual),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "weight-mixing of duals behaved unexpectedly",
+    measured = {
+        "midpoint_residual": mid.certificate.residual,
+        "random_residual": rand.certificate.residual,
+        "gap_residual": bad.certificate.residual,
+    }
+    return _outcome(
+        ok, measured, "weight-mixing of duals behaved unexpectedly", inst
     )
 
 
@@ -626,32 +628,22 @@ def _check_order_chain(config: SuiteConfig, trial: int) -> TrialOutcome:
     ident = ModuleOperator.identity(inst.shape, frame.domain_rank)
     tol_psd = config.tol_psd
     ok = True
-    measured = {
-        "lower_c": _f(rep.lower_c) if np.isfinite(rep.lower_c) else np.inf,
-        "upper_d": _f(bounds.upper),
-    }
+    measured = {"lower_c": rep.lower_c, "upper_d": bounds.upper}
     if rep.is_k_g_frame and np.isfinite(rep.lower_c) and rep.lower_c > 0:
-        lower_diff = (s_op - abs_sq.scale(rep.lower_c * (1.0 - 1e-9))).positivity(
-            tol_psd=tol_psd
+        ok, measured["lower_min_eig"], over = _order_probe(
+            s_op, abs_sq, rep.lower_c, tol_psd
         )
-        measured["lower_min_eig"] = _f(lower_diff.min_eigenvalue)
-        ok = ok and lower_diff.is_positive
-        if rep.lower_c > 1e-5:
-            over = (s_op - abs_sq.scale(rep.lower_c * 2.0)).positivity(tol_psd=tol_psd)
-            measured["lower_overshoot_min_eig"] = _f(over.min_eigenvalue)
-            ok = ok and not over.is_positive
+        if over is not None:
+            measured["lower_overshoot_min_eig"] = over
     upper_diff = (ident.scale(bounds.upper) - s_op).positivity(tol_psd=tol_psd)
-    measured["upper_min_eig"] = _f(upper_diff.min_eigenvalue)
+    measured["upper_min_eig"] = upper_diff.min_eigenvalue
     ok = ok and upper_diff.is_positive
     if bounds.upper > 1e-6:
         under = (ident.scale(bounds.upper * 0.99) - s_op).positivity(tol_psd=tol_psd)
-        measured["upper_undershoot_min_eig"] = _f(under.min_eigenvalue)
+        measured["upper_undershoot_min_eig"] = under.min_eigenvalue
         ok = ok and not under.is_positive
-    return TrialOutcome(
-        ok=ok,
-        measured=measured,
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "operator order chain violated at the optimal constants",
+    return _outcome(
+        ok, measured, "operator order chain violated at the optimal constants", inst
     )
 
 
@@ -668,17 +660,14 @@ def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
     rep = sqrt_factor_check(
         inst.frame, inst.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
     )
-    measured = {
-        "residual": _f(rep.residual),
-        "verdict": rep.kg_report.is_k_g_frame,
-    }
+    measured = {"residual": rep.residual, "verdict": rep.kg_report.is_k_g_frame}
     if rep.kg_report.is_k_g_frame:
         factor_norm_sq = rep.factor.uniform_norm() ** 2
         ceiling = np.inf
         if np.isfinite(rep.kg_report.lower_c) and rep.kg_report.lower_c > 0:
             ceiling = 1.0 / rep.kg_report.lower_c
-        measured["factor_norm_squared"] = _f(factor_norm_sq)
-        measured["norm_ceiling"] = _f(ceiling) if np.isfinite(ceiling) else np.inf
+        measured["factor_norm_squared"] = factor_norm_sq
+        measured["norm_ceiling"] = ceiling
         ok = (
             rep.ok
             and rep.residual <= config.tol_eq * (1.0 + inst.k_op.uniform_norm())
@@ -693,11 +682,8 @@ def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
             and not diag.range_included
             and diag.conditions_agree()
         )
-    return TrialOutcome(
-        ok=ok,
-        measured=measured,
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "square-root factorization verdict incoherent",
+    return _outcome(
+        ok, measured, "square-root factorization verdict incoherent", inst
     )
 
 
@@ -725,22 +711,16 @@ def _check_commuting_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
     else:  # freak commuting draw: nothing to reject
         rejected = True
     ok = rep.sandwich_ok and rep.within_envelope and rejected
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "sandwich_residual": _f(rep.sandwich_residual),
-            "measured_lower": _f(rep.measured_lower)
-            if np.isfinite(rep.measured_lower)
-            else np.inf,
-            "measured_upper": _f(rep.measured_upper),
-            "envelope_lower": _f(rep.envelope_lower)
-            if np.isfinite(rep.envelope_lower)
-            else np.inf,
-            "envelope_upper": _f(rep.envelope_upper),
-            "stray_commutator": _f(commutator),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "commuting transform left the predicted envelope",
+    measured = {
+        "sandwich_residual": rep.sandwich_residual,
+        "measured_lower": rep.measured_lower,
+        "measured_upper": rep.measured_upper,
+        "envelope_lower": rep.envelope_lower,
+        "envelope_upper": rep.envelope_upper,
+        "stray_commutator": commutator,
+    }
+    return _outcome(
+        ok, measured, "commuting transform left the predicted envelope", inst
     )
 
 
@@ -769,14 +749,12 @@ def _check_isometry_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
         and rep_list.max_bound_deviation <= 1e-8
         and rejected
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "shared_deviation": _f(rep_shared.max_bound_deviation),
-            "per_member_deviation": _f(rep_list.max_bound_deviation),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "isometry post-composition moved the optimal bounds",
+    measured = {
+        "shared_deviation": rep_shared.max_bound_deviation,
+        "per_member_deviation": rep_list.max_bound_deviation,
+    }
+    return _outcome(
+        ok, measured, "isometry post-composition moved the optimal bounds", inst
     )
 
 
@@ -818,12 +796,12 @@ def _check_tightness_scaling(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
     neg_spec = _non_tight_spec(config, trial)
     measured = {
-        "target_scale": _f(scale_choice),
-        "recovered_scale": _f(rep.scale),
-        "residual": _f(rep.residual),
+        "target_scale": scale_choice,
+        "recovered_scale": rep.scale,
+        "residual": rep.residual,
         "ranges_match": rep.ranges_match,
     }
-    specs = (spec_to_dict(inst.spec),)
+    instances = [inst]
     neg_tight = False
     if neg_spec is None:
         measured["generic_skipped"] = True
@@ -832,20 +810,15 @@ def _check_tightness_scaling(config: SuiteConfig, trial: int) -> TrialOutcome:
         neg_tight, _, neg_residual = tightness_scale(
             neg.frame, neg.k_op, tol_eq=config.tol_eq
         )
-        measured["generic_residual"] = _f(neg_residual)
-        specs += (spec_to_dict(neg.spec),)
+        measured["generic_residual"] = neg_residual
+        instances.append(neg)
     ok = (
         rep.tight
         and abs(rep.scale - scale_choice) <= 1e-8
         and rep.ranges_match
         and not neg_tight
     )
-    return TrialOutcome(
-        ok=ok,
-        measured=measured,
-        specs=specs,
-        message="" if ok else "tightness scale recovery failed",
-    )
+    return _outcome(ok, measured, "tightness scale recovery failed", *instances)
 
 
 def _check_identity_resolution(config: SuiteConfig, trial: int) -> TrialOutcome:
@@ -857,27 +830,37 @@ def _check_identity_resolution(config: SuiteConfig, trial: int) -> TrialOutcome:
         audited = {
             "trial": trial,
             "spec": spec_to_dict(inst.spec),
-            "lower_c": _f(rep.kg_report.lower_c)
-            if rep.kg_report and np.isfinite(rep.kg_report.lower_c)
-            else np.inf,
+            "lower_c": float(rep.kg_report.lower_c),
             "reevaluation": {
-                key: _f(val) for key, val in (rep.reevaluation or {}).items()
+                key: float(val) for key, val in (rep.reevaluation or {}).items()
             },
         }
-    lower = np.inf
-    if rep.kg_report is not None and np.isfinite(rep.kg_report.lower_c):
-        lower = _f(rep.kg_report.lower_c)
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "sum_residual": _f(rep.sum_residual),
-            "conclusion_holds": bool(rep.conclusion_holds),
-            "lower_c": lower,
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "resolution audit found an unexplained outcome",
+    measured = {
+        "sum_residual": rep.sum_residual,
+        "conclusion_holds": bool(rep.conclusion_holds),
+        "lower_c": np.inf if rep.kg_report is None else rep.kg_report.lower_c,
+    }
+    return _outcome(
+        ok,
+        measured,
+        "resolution audit found an unexplained outcome",
+        inst,
         audited=audited,
     )
+
+
+def _quotient_agreement(
+    qrep: QuotientReport, kg: KGFrameReport
+) -> tuple[bool, float]:
+    """The quotient route's verdict, and the relative deviation of 1/beta^2
+    from the pencil's lower_c (0 unless both are positive and finite)."""
+    verdict = qrep.well_defined and qrep.bounded
+    ratio_dev = 0.0
+    if verdict and np.isfinite(kg.lower_c) and kg.lower_c > 0 and qrep.beta > 0:
+        recovered = 1.0 / qrep.beta**2
+        if np.isfinite(recovered):
+            ratio_dev = abs(recovered - kg.lower_c) / kg.lower_c
+    return verdict, ratio_dev
 
 
 def _check_quotient_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
@@ -886,24 +869,16 @@ def _check_quotient_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
     sqrt_op = inst.frame.frame_operator().hermitian_sqrt()
     qrep = quotient_bounded(inst.k_op.adjoint(), sqrt_op, rel_tol=config.rel_tol)
     kg = is_kg_frame(inst.frame, inst.k_op, rel_tol=config.rel_tol)
-    quotient_verdict = qrep.well_defined and qrep.bounded
-    ok = quotient_verdict == kg.is_k_g_frame
-    ratio_dev = 0.0
-    if quotient_verdict and kg.is_k_g_frame and np.isfinite(kg.lower_c):
-        recovered = 1.0 / qrep.beta**2 if qrep.beta > 0 else np.inf
-        if np.isfinite(recovered):
-            ratio_dev = abs(recovered - kg.lower_c) / max(kg.lower_c, 1e-300)
-            ok = ok and ratio_dev <= 1e-6
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "quotient_verdict": quotient_verdict,
-            "pencil_verdict": kg.is_k_g_frame,
-            "beta": _f(qrep.beta) if np.isfinite(qrep.beta) else np.inf,
-            "ratio_deviation": _f(ratio_dev),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "quotient-boundedness route disagrees with the pencil",
+    quotient_verdict, ratio_dev = _quotient_agreement(qrep, kg)
+    ok = quotient_verdict == kg.is_k_g_frame and ratio_dev <= 1e-6
+    measured = {
+        "quotient_verdict": quotient_verdict,
+        "pencil_verdict": kg.is_k_g_frame,
+        "beta": qrep.beta,
+        "ratio_deviation": ratio_dev,
+    }
+    return _outcome(
+        ok, measured, "quotient-boundedness route disagrees with the pencil", inst
     )
 
 
@@ -915,28 +890,21 @@ def _check_quotient_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
     kg_moved = is_kg_frame(moved, inst.k_op, rel_tol=config.rel_tol)
     top = q_op.then(inst.frame.frame_operator().hermitian_sqrt())
     qrep = quotient_bounded(inst.k_op.adjoint(), top, rel_tol=config.rel_tol)
-    quotient_verdict = qrep.well_defined and qrep.bounded
+    quotient_verdict, ratio_dev = _quotient_agreement(qrep, kg_moved)
     kg_base = is_kg_frame(inst.frame, inst.k_op, rel_tol=config.rel_tol)
     ok = (
         quotient_verdict == kg_moved.is_k_g_frame
         and kg_moved.is_k_g_frame == kg_base.is_k_g_frame
+        and ratio_dev <= 1e-6
     )
-    ratio_dev = 0.0
-    if quotient_verdict and np.isfinite(kg_moved.lower_c) and kg_moved.lower_c > 0:
-        recovered = 1.0 / qrep.beta**2 if qrep.beta > 0 else np.inf
-        if np.isfinite(recovered):
-            ratio_dev = abs(recovered - kg_moved.lower_c) / kg_moved.lower_c
-            ok = ok and ratio_dev <= 1e-6
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "quotient_verdict": quotient_verdict,
-            "moved_verdict": kg_moved.is_k_g_frame,
-            "base_verdict": kg_base.is_k_g_frame,
-            "ratio_deviation": _f(ratio_dev),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "transformed quotient route disagrees with the pencil",
+    measured = {
+        "quotient_verdict": quotient_verdict,
+        "moved_verdict": kg_moved.is_k_g_frame,
+        "base_verdict": kg_base.is_k_g_frame,
+        "ratio_deviation": ratio_dev,
+    }
+    return _outcome(
+        ok, measured, "transformed quotient route disagrees with the pencil", inst
     )
 
 
@@ -961,14 +929,12 @@ def _check_dual_transport(config: SuiteConfig, trial: int) -> TrialOutcome:
         and rep.certificate.residual <= rep.base_certificate.residual + 1e-12
         and rejected
     )
-    return TrialOutcome(
-        ok=ok,
-        measured={
-            "base_residual": _f(rep.base_certificate.residual),
-            "transported_residual": _f(rep.certificate.residual),
-        },
-        specs=(spec_to_dict(inst.spec),),
-        message="" if ok else "transported pair lost the duality identity",
+    measured = {
+        "base_residual": rep.base_certificate.residual,
+        "transported_residual": rep.certificate.residual,
+    }
+    return _outcome(
+        ok, measured, "transported pair lost the duality identity", inst
     )
 
 
@@ -1093,21 +1059,20 @@ def list_check_ids() -> tuple[str, ...]:
     return tuple(CHECKS)
 
 
-def run_check(config: SuiteConfig, check_id: str, trial: int) -> TrialOutcome:
-    """Run one trial of one check; pure in (config, check_id, trial)."""
+def _require_known(check_id: str) -> None:
     if check_id not in CHECKS:
         raise ValueError(
             f"unknown check id {check_id!r}; known: {', '.join(CHECKS)}"
         )
+
+
+def run_check(config: SuiteConfig, check_id: str, trial: int) -> TrialOutcome:
+    """Run one trial of one check; pure in (config, check_id, trial)."""
+    _require_known(check_id)
     try:
         return CHECKS[check_id].fn(config, trial)
     except (KGFrameError, np.linalg.LinAlgError) as exc:
-        return TrialOutcome(
-            ok=False,
-            measured={},
-            specs=(),
-            message=f"unexpected error: {type(exc).__name__}: {exc}",
-        )
+        return _outcome(False, {}, f"unexpected error: {type(exc).__name__}: {exc}")
 
 
 def run_theorem_suite(config: SuiteConfig) -> SuiteResult:
@@ -1116,10 +1081,7 @@ def run_theorem_suite(config: SuiteConfig) -> SuiteResult:
         raise ValueError("trials must be at least 1")
     selected = config.check_ids if config.check_ids is not None else list_check_ids()
     for check_id in selected:
-        if check_id not in CHECKS:
-            raise ValueError(
-                f"unknown check id {check_id!r}; known: {', '.join(CHECKS)}"
-            )
+        _require_known(check_id)
     reports = []
     for check_id in selected:
         passes = 0

@@ -69,6 +69,16 @@ def test_small_suite_passes_and_documents_itself():
     assert by_id["identity_resolution"]["audited_counterexamples"] == []
 
 
+def test_measured_values_are_plain_floats_or_bools():
+    config = kg.SuiteConfig(trials=3, seed=0)
+    for check_id in kg.list_check_ids():
+        for trial in range(3):
+            measured = kg.run_check(config, check_id, trial).measured
+            assert measured, check_id
+            for key, value in measured.items():
+                assert type(value) in (float, bool), (check_id, trial, key)
+
+
 def test_document_bytes_are_deterministic():
     cfg = kg.SuiteConfig(trials=2, seed=7)
     first = kg.document_json(kg.run_theorem_suite(cfg))
