@@ -24,6 +24,17 @@ TOL_PSD = 1e-9
 TOL_HERM = 1e-10
 TOL_RANK = 1e-10
 
+# Stands in for a vanishing top singular value or eigenvalue, so a zero
+# block keeps a positive cutoff and retains nothing.
+RANK_FLOOR = 1e-300
+
+
+def rank_cutoff(top: float, rel_tol: float) -> float:
+    """The one rank cutoff: a singular value (or eigenvalue) counts toward
+    the numerical rank when it exceeds rel_tol times the largest one,
+    floored at RANK_FLOOR."""
+    return rel_tol * max(top, RANK_FLOOR)
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex, copy=True, order="C")

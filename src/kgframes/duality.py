@@ -13,16 +13,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import TOL_RANK, _check_same_shape, eigvalsh_each, spectral_norms
+from .algebra import (
+    TOL_RANK,
+    _check_same_shape,
+    eigvalsh_each,
+    rank_cutoff,
+    spectral_norms,
+)
 from .errors import CommutationError, DualityError, IsometryError, ShapeMismatch
-from .gframes import GFrame, g_operator, optimal_g_bounds
+from .gframes import GFrame, _check_square_on_domain, g_operator, optimal_g_bounds
 from .kganalysis import KGFrameReport, is_kg_frame, optimal_kg_lower_bound
 from .operators import (
     TOL_EQ,
     ModuleOperator,
     PencilResult,
     _hermitize,
-    largest_lower_scale,
+    psd_quotient_max,
 )
 
 CONDITIONING_RATIO = 1e3
@@ -36,12 +42,6 @@ def _check_same_index_structure(gamma: GFrame, xi: GFrame) -> None:
         raise ShapeMismatch(
             f"index structures differ: {gamma.codomain_ranks} vs {xi.codomain_ranks}"
         )
-
-
-def _check_square_reference(gamma: GFrame, k_op: ModuleOperator) -> None:
-    _check_same_shape(gamma.shape, k_op.shape)
-    if not (k_op.domain_rank == k_op.codomain_rank == gamma.domain_rank):
-        raise ShapeMismatch("reference operator must be square on the frame domain")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def verify_k_dual(
 ) -> DualCertificate:
     """Measure how far the pair is from satisfying the duality identity."""
     _check_same_index_structure(gamma, xi)
-    _check_square_reference(gamma, k_op)
+    _check_square_on_domain(gamma, k_op)
     sums = _dual_sum_blocks(gamma, xi)
     residual = max(spectral_norms([acc - k for acc, k in zip(sums, k_op.blocks)]))
     return DualCertificate(
@@ -128,11 +128,10 @@ def canonical_k_dual(
     smallest_ratio = np.inf
     for p_blk, s_blk in zip(proj_k.blocks, s_op.blocks):
         svals = np.linalg.svd(p_blk @ s_blk, compute_uv=False)
-        top = float(svals[0]) if svals.size else 0.0
-        if top <= 0.0:
-            continue
-        retained = svals[svals > rel_tol * top]
-        smallest_ratio = min(smallest_ratio, float(retained[-1]) / top)
+        top = float(svals[0])
+        retained = svals[svals > rank_cutoff(top, rel_tol)]
+        if retained.size:  # a zero block retains nothing
+            smallest_ratio = min(smallest_ratio, float(retained[-1]) / top)
     warning = smallest_ratio < CONDITIONING_RATIO * rel_tol
     return CanonicalDualResult(
         frame=xi,
@@ -153,7 +152,7 @@ def dual_via_g_operators(
     """Product route: extract both square operators against the basis and
     test whether the first composed after the adjoint of the second is K."""
     _check_same_index_structure(gamma, xi)
-    _check_square_reference(gamma, k_op)
+    _check_square_on_domain(gamma, k_op)
     q_op = g_operator(gamma, basis)
     p_op = g_operator(xi, basis)
     product = p_op.adjoint().then(q_op)
@@ -187,7 +186,7 @@ def coisometry_transport(
     operator is conjugated onto the new domain, so the duality residual
     can only shrink; strictly smaller codomains shrink the module.
     """
-    _check_square_reference(gamma, k_op)
+    _check_square_on_domain(gamma, k_op)
     _check_same_shape(gamma.shape, w_op.shape)
     if w_op.domain_rank != gamma.domain_rank:
         raise ShapeMismatch(
@@ -246,7 +245,7 @@ def combine_duals(
     reference operator the residual grows at least proportionally to the
     weight-sum gap times its smallest singular value.
     """
-    _check_square_reference(gamma, k_op)
+    _check_square_on_domain(gamma, k_op)
     for t_op in (t1, t2):
         if not (t_op.domain_rank == t_op.codomain_rank == gamma.domain_rank):
             raise ShapeMismatch("weights must be square on the frame domain")
@@ -357,8 +356,8 @@ def transform_by_q(
     operator is the old one conjugated by q_op, and the new optimal
     bounds on the range of q_op stay inside the predicted envelope.
     """
-    _check_square_reference(gamma, k_op)
-    _check_square_reference(gamma, q_op)
+    _check_square_on_domain(gamma, k_op)
+    _check_square_on_domain(gamma, q_op)
     comm = (k_op.then(q_op) - q_op.then(k_op)).uniform_norm()
     if comm > tol_comm:
         raise CommutationError(
@@ -381,7 +380,8 @@ def transform_by_q(
         _hermitize(p @ (b.conj().T @ b) @ p)
         for p, b in zip(proj.blocks, k_op.blocks)
     ]
-    measured_lower, pencil = largest_lower_scale(s_comp, m_comp, rel_tol=rel_tol)
+    pencil = psd_quotient_max(m_comp, s_comp, rel_tol=rel_tol)
+    measured_lower = pencil.lower_scale
     measured_upper = max(float(lam[-1]) for lam in eigvalsh_each(s_comp))
     q_norm = q_op.uniform_norm()
     q_pinv_norm = q_op.pinv(rel_tol=rel_tol).uniform_norm()
@@ -429,7 +429,7 @@ def isometry_left_transform(
     adjoint, adjoint applied second, is the identity on the member
     codomain); the frame operator is unchanged, so both optimal bounds
     are preserved."""
-    _check_square_reference(gamma, k_op)
+    _check_square_on_domain(gamma, k_op)
     if isinstance(w_ops, ModuleOperator):
         w_list = [w_ops] * len(gamma.members)
     else:

@@ -13,7 +13,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import TOL_RANK, AlgebraShape, _check_same_shape, spectral_norms
+from .algebra import (
+    TOL_RANK,
+    AlgebraShape,
+    _check_same_shape,
+    rank_cutoff,
+    spectral_norms,
+)
 from .errors import BasisError, PartitionError, ShapeMismatch
 from .modules import ModuleVector, vector_seminorm
 from .operators import ModuleOperator, _hermitize
@@ -137,15 +143,15 @@ class GFrame:
     def synthesis(self, g: ModuleVector) -> ModuleVector:
         return self.synthesis_operator().apply(g)
 
-    def piece(self, g: ModuleVector, i: int) -> ModuleVector:
-        """Slice the i-th codomain summand out of a stacked vector."""
-        if g.rank != self.total_codomain_rank:
-            raise ShapeMismatch(
-                f"stacked vector rank {g.rank} != {self.total_codomain_rank}"
-            )
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        stacks = [s[:, n * lo : n * hi] for n, s in zip(self.shape, g.stacks)]
-        return ModuleVector(self.shape, hi - lo, stacks)
+
+def _check_square_on_domain(frame: GFrame, k_op: ModuleOperator) -> None:
+    _check_same_shape(frame.shape, k_op.shape)
+    if not (k_op.domain_rank == k_op.codomain_rank == frame.domain_rank):
+        raise ShapeMismatch(
+            "reference operator must be square on the frame domain: "
+            f"got {k_op.domain_rank}->{k_op.codomain_rank} over domain rank "
+            f"{frame.domain_rank}"
+        )
 
 
 def frame_distance(a: GFrame, b: GFrame) -> float:
@@ -172,7 +178,7 @@ class FrameBounds:
     upper_block: int
 
     def is_frame(self, rel_tol: float = TOL_RANK) -> bool:
-        return self.lower > rel_tol * max(self.upper, 1e-300)
+        return self.lower > rank_cutoff(self.upper, rel_tol)
 
 
 def optimal_g_bounds(frame: GFrame, tight_tol: float = 1e-8) -> FrameBounds:

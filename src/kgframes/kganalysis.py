@@ -14,9 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL_RANK, eigh_each, spectral_norms
+from .algebra import TOL_RANK, eigh_each, rank_cutoff, spectral_norms
 from .errors import ShapeMismatch
-from .gframes import GFrame, embed_direction, g_operator, optimal_g_bounds
+from .gframes import (
+    GFrame,
+    _check_square_on_domain,
+    embed_direction,
+    g_operator,
+    optimal_g_bounds,
+)
 from .modules import ModuleVector, inner
 from .operators import (
     TOL_EQ,
@@ -34,17 +40,6 @@ from .operators import (
 def _absolute_square_blocks(op: ModuleOperator) -> list[np.ndarray]:
     """Realization of the composite (apply adjoint(op), then op)."""
     return [_hermitize(b.conj().T @ b) for b in op.blocks]
-
-
-def _check_square_on_domain(frame: GFrame, k_op: ModuleOperator) -> None:
-    if k_op.shape.sizes != frame.shape.sizes:
-        raise ShapeMismatch("frame and operator live over different algebras")
-    if not (k_op.domain_rank == k_op.codomain_rank == frame.domain_rank):
-        raise ShapeMismatch(
-            "reference operator must be square on the frame domain: "
-            f"got {k_op.domain_rank}->{k_op.codomain_rank} over domain rank "
-            f"{frame.domain_rank}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,9 +341,9 @@ def quotient_bounded(
         stacked = np.hstack([t_blk, f_blk])
         svals_t = np.linalg.svd(t_blk, compute_uv=False)
         svals_s = np.linalg.svd(stacked, compute_uv=False)
-        top = max(float(svals_s[0]) if svals_s.size else 0.0, 1e-300)
-        rank_t = int(np.sum(svals_t > rel_tol * top))
-        rank_s = int(np.sum(svals_s > rel_tol * top))
+        cutoff = rank_cutoff(svals_s[0], rel_tol)
+        rank_t = int(np.sum(svals_t > cutoff))
+        rank_s = int(np.sum(svals_s > cutoff))
         if rank_s != rank_t:
             well = False
     ff = [_hermitize(b @ b.conj().T) for b in f_op.blocks]

@@ -36,14 +36,13 @@ from .algebra import (
     eigh_each,
     leq,
     psd_verdict,
+    rank_cutoff,
     spectral_norms,
 )
 from .errors import InvertibilityError, ShapeMismatch
 from .modules import ModuleVector, inner
 
 TOL_EQ = 1e-8
-
-_TINY = 1e-300
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -246,7 +245,9 @@ class ModuleOperator:
     def pinv(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Blockwise Moore-Penrose pseudoinverse.
 
-        Singular values below rel_tol times the largest one are dropped.
+        Singular values up to rel_tol times the largest one are dropped:
+        numpy's `rcond` rule, which is `rank_cutoff` without its floor (a
+        zero block has no singular value to keep either way).
         """
         return ModuleOperator(
             self.shape,
@@ -261,7 +262,7 @@ class ModuleOperator:
             raise InvertibilityError("only square operators can be inverted")
         for k, blk in enumerate(self.blocks):
             svals = np.linalg.svd(blk, compute_uv=False)
-            if svals[-1] <= rel_tol * max(svals[0], _TINY):
+            if svals[-1] <= rank_cutoff(svals[0], rel_tol):
                 raise InvertibilityError(f"block {k} is numerically singular")
         return ModuleOperator(
             self.shape,
@@ -280,7 +281,7 @@ class ModuleOperator:
         """
         blocks = []
         for svals, vh in _each(_row_spaces, self.blocks):
-            keep = svals > rel_tol * max(float(svals[0]) if svals.size else 0.0, _TINY)
+            keep = svals > rank_cutoff(svals[0], rel_tol)
             vr = vh[keep].conj().T
             blocks.append(_hermitize(vr @ vr.conj().T))
         return ModuleOperator(self.shape, self.codomain_rank, self.codomain_rank, blocks)
@@ -290,7 +291,7 @@ class ModuleOperator:
         out = []
         for blk in self.blocks:
             svals = np.linalg.svd(blk, compute_uv=False)
-            cutoff = rel_tol * max(float(svals[0]) if svals.size else 0.0, _TINY)
+            cutoff = rank_cutoff(svals[0], rel_tol)
             out.append(int(np.sum(svals > cutoff)))
         return tuple(out)
 
@@ -407,8 +408,7 @@ def pencil_over_spectrum(
     gap_ratio = np.inf
     vanished, leaks, kept, compressed_g = [], [], [], []
     for k, (m, (lam, vecs)) in enumerate(zip(ms, n_spectrum)):
-        lam_top = max(float(lam[-1]), 0.0)
-        keep = lam > rel_tol * max(lam_top, _TINY)
+        keep = lam > rank_cutoff(lam[-1], rel_tol)
         if not keep.any():
             vanished.append(k)
             continue
@@ -451,20 +451,6 @@ def pencil_over_spectrum(
         block=worst_block,
         direction=worst_direction,
     )
-
-
-def largest_lower_scale(
-    n_blocks: Sequence[np.ndarray],
-    m_blocks: Sequence[np.ndarray],
-    rel_tol: float = TOL_RANK,
-) -> tuple[float, PencilResult]:
-    """Largest s >= 0 with s M <= N for PSD pencils, blockwise.
-
-    Returns 0 when the range of M escapes the range of N (no positive s
-    exists) and +inf when M vanishes (the constraint is vacuous).
-    """
-    pencil = psd_quotient_max(m_blocks, n_blocks, rel_tol=rel_tol)
-    return pencil.lower_scale, pencil
 
 
 # -- majorization / range inclusion certificate -------------------------

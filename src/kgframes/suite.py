@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import TOL_PSD, TOL_RANK
+from .algebra import TOL_PSD, TOL_RANK, rank_cutoff
 from .duality import (
     canonical_k_dual,
     coisometry_transport,
@@ -524,8 +524,7 @@ def _orthogonal_complement_square(
     for blk in q_op.blocks:
         dim = blk.shape[0]
         u, svals, _ = np.linalg.svd(blk)
-        top = float(svals[0]) if svals.size else 0.0
-        rank = int(np.sum(svals > rel_tol * max(top, 1e-300)))
+        rank = int(np.sum(svals > rank_cutoff(svals[0], rel_tol)))
         null_basis = u[:, rank:]
         if null_basis.shape[1] == 0:
             blocks.append(np.zeros((dim, dim), dtype=complex))

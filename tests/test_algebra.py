@@ -122,6 +122,14 @@ def test_positivity_tolerance_is_relative():
     assert not small.is_positive().is_positive
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the PSD slack tol_psd*(1+|a|) has an absolute floor",
+)
+def test_small_negative_element_is_not_positive():
+    assert not kg.psd_verdict([np.array([[-5e-10]], dtype=complex)]).is_positive
+
+
 def test_psd_verdict_reports_worst_block():
     blocks = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
     verdict = kg.psd_verdict(blocks)

@@ -24,6 +24,17 @@ def test_pinned_example_lower_scale():
     assert kg.optimal_kg_lower_bound(frame, k_op) == report.lower_c
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the pencil's inclusion slack 1e-12*(1+|M|) has an absolute floor",
+)
+def test_small_reference_outside_the_frame_range_is_refused():
+    shape = kg.AlgebraShape((2,))
+    frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [np.diag([1.0, 0.0])])])
+    k_op = kg.ModuleOperator(shape, 1, 1, [1e-6 * np.diag([0.0, 1.0])])
+    assert not kg.is_kg_frame(frame, k_op).is_k_g_frame
+
+
 def test_identity_reference_recovers_frame_bound():
     _, frame, _ = pinned_example()
     shape = single_block_shape()

@@ -170,7 +170,8 @@ def test_largest_lower_scale_pinned_values():
     # N = [[2,1],[1,2]], M = diag(1,0): the best C with C*M <= N is 3/2.
     n_mat = np.array([[2, 1], [1, 2]], dtype=complex)
     m_mat = np.diag([1.0, 0.0]).astype(complex)
-    scale, pencil = kg.largest_lower_scale([n_mat], [m_mat])
+    pencil = kg.psd_quotient_max([m_mat], [n_mat])
+    scale = pencil.lower_scale
     assert scale == pytest.approx(1.5, abs=1e-9)
     assert pencil.included
     assert pencil.quotient == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -182,18 +183,18 @@ def test_largest_lower_scale_pinned_values():
 
 
 def test_largest_lower_scale_range_leak_gives_zero():
-    scale, pencil = kg.largest_lower_scale(
-        [np.diag([0.0, 1.0]).astype(complex)], [np.diag([1.0, 0.0]).astype(complex)]
+    pencil = kg.psd_quotient_max(
+        [np.diag([1.0, 0.0]).astype(complex)], [np.diag([0.0, 1.0]).astype(complex)]
     )
-    assert scale == 0.0
+    assert pencil.lower_scale == 0.0
     assert not pencil.included
 
 
 def test_largest_lower_scale_zero_reference_gives_infinity():
-    scale, pencil = kg.largest_lower_scale(
-        [np.eye(2, dtype=complex)], [np.zeros((2, 2), dtype=complex)]
+    pencil = kg.psd_quotient_max(
+        [np.zeros((2, 2), dtype=complex)], [np.eye(2, dtype=complex)]
     )
-    assert scale == np.inf
+    assert pencil.lower_scale == np.inf
     assert pencil.included
 
 
@@ -203,7 +204,7 @@ def test_psd_quotient_max_matches_reciprocal():
     pencil = kg.psd_quotient_max([m_mat], [n_mat])
     assert pencil.included
     assert pencil.quotient == pytest.approx(2.0 / 3.0, abs=1e-12)
-    scale, _ = kg.largest_lower_scale([n_mat], [m_mat])
+    scale = kg.psd_quotient_max([m_mat], [n_mat]).lower_scale
     assert scale == pytest.approx(1.0 / pencil.quotient, rel=1e-12)
 
 
@@ -211,8 +212,8 @@ def test_pencil_worst_block_is_reported():
     easy = np.eye(2, dtype=complex)
     hard = np.diag([1.0, 10.0]).astype(complex)
     # block 1 forces the smaller admissible scale
-    scale, pencil = kg.largest_lower_scale([easy, easy], [easy, hard])
-    assert scale == pytest.approx(0.1, rel=1e-12)
+    pencil = kg.psd_quotient_max([easy, hard], [easy, easy])
+    assert pencil.lower_scale == pytest.approx(0.1, rel=1e-12)
     assert pencil.block == 1
 
 
