@@ -7,7 +7,14 @@ induced order are decided blockwise with relative tolerances.
 Blocks are small, so a LAPACK call costs more in overhead than in flops.
 The decomposition kernels here take many matrices at once and make one
 stacked call per shape and dtype; LAPACK still runs on each matrix of
-the stack alone, so every result is bitwise that of a single call.
+the stack alone, so every result is bitwise that of a single call.  A
+group of matrices that are all zero makes no call: its spectral norms
+are 0.0, which is what LAPACK returns for them.
+
+Public construction of an element copies its blocks into read-only
+complex C-ordered arrays.  Arithmetic results are fresh arrays of that
+kind already, so they are adopted through `_adopt`: frozen in place,
+with no copy and no check.
 """
 
 from __future__ import annotations
@@ -42,6 +49,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adopt(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Freeze freshly computed arrays in place, without a copy.
+
+    Only for complex C-ordered arrays that nothing else references: what
+    `_freeze` would have copied them into, bitwise.
+    """
+    arrays = tuple(arrays)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum keeps one fixed reduction order, so (a*b)* == b* a* holds bitwise
     return np.einsum("ik,kj->ij", a, b)
@@ -61,18 +80,29 @@ def _each(decompose, mats: Sequence[np.ndarray]) -> list:
 
 
 def _top_singular_values(stack: np.ndarray) -> list[float]:
-    if 0 in stack.shape[1:]:
+    if not np.count_nonzero(stack):  # all zero, or no entries at all
         return [0.0] * len(stack)
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1).tolist()
+    # LAPACK returns the singular values in descending order
+    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
 
 
 def spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
     """Spectral norm of every matrix, in input order.
 
     Each value is bitwise the one np.linalg.norm(mat, 2) returns, 0.0 for
-    a matrix with no entries.
+    a matrix with no entries; a group that is all zero skips LAPACK.
     """
     return _each(_top_singular_values, mats)
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+def singular_values_each(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Descending singular values of every matrix, in input order, each
+    bitwise what np.linalg.svd(mat, compute_uv=False) returns."""
+    return _each(_singular_values, mats)
 
 
 def _read_only_eigh(stack: np.ndarray):
@@ -194,6 +224,17 @@ class AlgebraElement:
         self.blocks = blocks
 
     @classmethod
+    def _fresh(
+        cls, shape: AlgebraShape, blocks: Iterable[np.ndarray]
+    ) -> "AlgebraElement":
+        """Trusted constructor for freshly computed blocks of the right
+        shapes: adopted in place, neither copied nor checked."""
+        out = cls.__new__(cls)
+        out.shape = shape
+        out.blocks = _adopt(blocks)
+        return out
+
+    @classmethod
     def zero(cls, shape: AlgebraShape) -> "AlgebraElement":
         return cls(shape, [np.zeros((n, n), dtype=complex) for n in shape])
 
@@ -206,7 +247,9 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """Blockwise conjugate transpose (the algebra involution)."""
-        return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
+        return AlgebraElement._fresh(
+            self.shape, [np.conjugate(b.T, order="C") for b in self.blocks]
+        )
 
     def seminorm(self, k: int) -> float:
         """Spectral norm of block k."""
@@ -225,23 +268,23 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same_shape(self.shape, other.shape)
-        return AlgebraElement(
+        return AlgebraElement._fresh(
             self.shape, [a + b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same_shape(self.shape, other.shape)
-        return AlgebraElement(
+        return AlgebraElement._fresh(
             self.shape, [a - b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [-b for b in self.blocks])
+        return AlgebraElement._fresh(self.shape, [-b for b in self.blocks])
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             _check_same_shape(self.shape, other.shape)
-            return AlgebraElement(
+            return AlgebraElement._fresh(
                 self.shape,
                 [_product(a, b) for a, b in zip(self.blocks, other.blocks)],
             )
@@ -255,7 +298,7 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, c: complex) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [c * b for b in self.blocks])
+        return AlgebraElement._fresh(self.shape, [c * b for b in self.blocks])
 
     def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
         _check_same_shape(self.shape, other.shape)

@@ -8,6 +8,7 @@ audited check recorded counterexamples.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -368,9 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first command of a process and reused:
+    every parse starts from a fresh namespace, so nothing carries over."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except KGFrameError as exc:

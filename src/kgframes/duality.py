@@ -18,6 +18,7 @@ from .algebra import (
     _check_same_shape,
     eigvalsh_each,
     rank_cutoff,
+    singular_values_each,
     spectral_norms,
 )
 from .errors import CommutationError, DualityError, IsometryError, ShapeMismatch
@@ -29,6 +30,7 @@ from .operators import (
     PencilResult,
     _hermitize,
     psd_quotient_max,
+    uniform_norms,
 )
 
 CONDITIONING_RATIO = 1e3
@@ -72,14 +74,26 @@ def verify_k_dual(
     tol_eq: float = TOL_EQ,
     construction: str = "given",
 ) -> DualCertificate:
-    """Measure how far the pair is from satisfying the duality identity."""
+    """Measure how far the pair is from satisfying the duality identity.
+
+    The residual is kept on the frame, one per (xi, k_op) pair: all three
+    are immutable, so a pair is measured once.
+    """
     _check_same_index_structure(gamma, xi)
     _check_square_on_domain(gamma, k_op)
-    sums = _dual_sum_blocks(gamma, xi)
-    residual = max(spectral_norms([acc - k for acc, k in zip(sums, k_op.blocks)]))
+    residual = gamma._dual_residuals.get((xi, k_op))
+    if residual is None:
+        gap = ModuleOperator._fresh(
+            k_op.shape,
+            k_op.domain_rank,
+            k_op.codomain_rank,
+            [acc - k for acc, k in zip(_dual_sum_blocks(gamma, xi), k_op.blocks)],
+        )
+        residual = gamma._dual_residuals[(xi, k_op)] = uniform_norms(gap, k_op)[0]
+    k_norm = k_op.uniform_norm()
     return DualCertificate(
         residual=residual,
-        is_dual=residual <= tol_eq * (1.0 + k_op.uniform_norm()),
+        is_dual=residual <= tol_eq * (1.0 + k_norm),
         construction=construction,
     )
 
@@ -126,8 +140,9 @@ def canonical_k_dual(
 
     proj_k = k_op.range_projection(rel_tol=rel_tol)
     smallest_ratio = np.inf
-    for p_blk, s_blk in zip(proj_k.blocks, s_op.blocks):
-        svals = np.linalg.svd(p_blk @ s_blk, compute_uv=False)
+    for svals in singular_values_each(
+        [p_blk @ s_blk for p_blk, s_blk in zip(proj_k.blocks, s_op.blocks)]
+    ):
         top = float(svals[0])
         retained = svals[svals > rank_cutoff(top, rel_tol)]
         if retained.size:  # a zero block retains nothing
@@ -156,8 +171,8 @@ def dual_via_g_operators(
     q_op = g_operator(gamma, basis)
     p_op = g_operator(xi, basis)
     product = p_op.adjoint().then(q_op)
-    residual = (product - k_op).uniform_norm()
-    return residual <= tol_eq * (1.0 + k_op.uniform_norm())
+    residual, k_norm = uniform_norms(product - k_op, k_op)
+    return residual <= tol_eq * (1.0 + k_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +184,27 @@ class TransportedDualResult:
     k_op: ModuleOperator
     certificate: DualCertificate
     base_certificate: DualCertificate
+
+
+def _require_isometries(
+    w_ops: Sequence[ModuleOperator], tol_iso: float, adjoint_first: bool
+) -> None:
+    """Raise IsometryError at the first operator whose composite with its
+    own adjoint (adjoint applied first or second) deviates from the
+    identity by more than tol_iso; one kernel call for every block."""
+    grams = [
+        b.conj().T @ b if adjoint_first else b @ b.conj().T
+        for w_op in w_ops
+        for b in w_op.blocks
+    ]
+    gaps = spectral_norms([g - np.eye(g.shape[0]) for g in grams])
+    per_op = w_ops[0].shape.block_count
+    for start in range(0, len(gaps), per_op):
+        defect = max(gaps[start : start + per_op])
+        if defect > tol_iso:
+            raise IsometryError(
+                f"composite with the adjoint deviates from the identity by {defect:.3e}"
+            )
 
 
 def coisometry_transport(
@@ -193,13 +229,7 @@ def coisometry_transport(
             f"transport operator domain rank {w_op.domain_rank} "
             f"!= frame domain rank {gamma.domain_rank}"
         )
-    defect = max(
-        spectral_norms([b.conj().T @ b - np.eye(b.shape[1]) for b in w_op.blocks])
-    )
-    if defect > tol_iso:
-        raise IsometryError(
-            f"composite with the adjoint deviates from the identity by {defect:.3e}"
-        )
+    _require_isometries([w_op], tol_iso, adjoint_first=True)
     base = verify_k_dual(gamma, xi, k_op, tol_eq=tol_eq)
     if not base.is_dual:
         raise DualityError(
@@ -368,7 +398,6 @@ def transform_by_q(
     s_new = new_frame.frame_operator()
     s_old = gamma.frame_operator()
     sandwich = adj.then(s_old).then(q_op)
-    sandwich_residual = (s_new - sandwich).uniform_norm()
 
     lower_c = optimal_kg_lower_bound(gamma, k_op, rel_tol=rel_tol)
     upper_d = optimal_g_bounds(gamma).upper
@@ -383,8 +412,9 @@ def transform_by_q(
     pencil = psd_quotient_max(m_comp, s_comp, rel_tol=rel_tol)
     measured_lower = pencil.lower_scale
     measured_upper = max(float(lam[-1]) for lam in eigvalsh_each(s_comp))
-    q_norm = q_op.uniform_norm()
-    q_pinv_norm = q_op.pinv(rel_tol=rel_tol).uniform_norm()
+    sandwich_residual, q_norm, q_pinv_norm = uniform_norms(
+        s_new - sandwich, q_op, q_op.pinv(rel_tol=rel_tol)
+    )
     envelope_lower = (
         lower_c / (q_pinv_norm**2) if np.isfinite(lower_c) else np.inf
     )
@@ -445,17 +475,7 @@ def isometry_left_transform(
                 f"isometry domain rank {w_op.domain_rank} does not match "
                 f"member codomain rank {mem.codomain_rank}"
             )
-    # one kernel call for every member's blocks, then one defect per member
-    per_member = gamma.shape.block_count
-    gaps = spectral_norms(
-        [b @ b.conj().T - np.eye(b.shape[0]) for w_op in w_list for b in w_op.blocks]
-    )
-    for start in range(0, len(gaps), per_member):
-        defect = max(gaps[start : start + per_member])
-        if defect > tol_iso:
-            raise IsometryError(
-                f"composite with the adjoint deviates from the identity by {defect:.3e}"
-            )
+    _require_isometries(w_list, tol_iso, adjoint_first=False)
     new_frame = GFrame(
         [mem.then(w_op) for mem, w_op in zip(gamma.members, w_list)]
     )

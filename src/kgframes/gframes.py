@@ -4,6 +4,11 @@ A family {F_i : A^d -> A^{c_i}} is stored with its offset table embedding
 the direct sum of the codomains into A^{sum c_i}.  The analysis operator
 concatenates the member images at those offsets; its adjoint is the
 synthesis operator; their composite is the frame operator.
+
+A family and its members are immutable, so a family keeps what it was
+measured to be: its analysis and frame operators, its basis validation
+per tolerance, its square operator against each basis and its duality
+residual against each (dual family, K) pair.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .algebra import (
 )
 from .errors import BasisError, PartitionError, ShapeMismatch
 from .modules import ModuleVector, vector_seminorm
-from .operators import ModuleOperator, _hermitize
+from .operators import ModuleOperator, _hermitize, uniform_norms
 
 BASIS_TOL = 1e-10
 
@@ -45,7 +50,7 @@ def embed_direction(
         )
     stacks = [np.zeros((m, m * rank), dtype=complex) for m in shape]
     stacks[block][0, :] = direction.conj()
-    return ModuleVector(shape, rank, stacks)
+    return ModuleVector._fresh(shape, rank, stacks)
 
 
 class GFrame:
@@ -59,6 +64,8 @@ class GFrame:
         "_analysis",
         "_frame_op",
         "_basis_reports",
+        "_g_operators",
+        "_dual_residuals",
     )
 
     def __init__(self, members: Iterable[ModuleOperator]):
@@ -81,6 +88,9 @@ class GFrame:
         self._analysis: ModuleOperator | None = None
         self._frame_op: ModuleOperator | None = None
         self._basis_reports: dict[float, BasisAxiomReport] = {}
+        # keyed by the basis, and by the (dual family, K) pair, as objects
+        self._g_operators: dict[GFrame, ModuleOperator] = {}
+        self._dual_residuals: dict[tuple[GFrame, ModuleOperator], float] = {}
 
     # -- structure ----------------------------------------------------
 
@@ -116,7 +126,7 @@ class GFrame:
                 np.hstack([mem.blocks[k] for mem in self.members])
                 for k in range(self.shape.block_count)
             ]
-            self._analysis = ModuleOperator(
+            self._analysis = ModuleOperator._fresh(
                 self.shape, self.domain_rank, self.total_codomain_rank, blocks
             )
         return self._analysis
@@ -129,7 +139,7 @@ class GFrame:
         """Sum of adjoint(F_i) after F_i; Hermitian PSD by construction."""
         if self._frame_op is None:
             analysis = self.analysis_operator()
-            self._frame_op = ModuleOperator(
+            self._frame_op = ModuleOperator._fresh(
                 self.shape,
                 self.domain_rank,
                 self.domain_rank,
@@ -158,7 +168,7 @@ def frame_distance(a: GFrame, b: GFrame) -> float:
     """Largest member-wise uniform-norm difference."""
     if len(a) != len(b) or a.codomain_ranks != b.codomain_ranks:
         raise ShapeMismatch("frames have different index structure")
-    return max((x - y).uniform_norm() for x, y in zip(a.members, b.members))
+    return max(uniform_norms(*(x - y for x, y in zip(a.members, b.members))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,8 +381,12 @@ def g_operator(frame: GFrame, basis: GFrame) -> ModuleOperator:
     """Unique square operator Q with every member F_i = (apply adjoint(Q), then E_i).
 
     Built as the sum over i of (apply E_i, then adjoint(F_i)); composing
-    Q after its own adjoint reproduces the frame operator.
+    Q after its own adjoint reproduces the frame operator.  Both families
+    are immutable, so Q is built once per basis and kept on the frame.
     """
+    q_op = frame._g_operators.get(basis)
+    if q_op is not None:
+        return q_op
     _check_index_compatible(frame, basis)
     validate_basis(basis)
     shape = frame.shape
@@ -383,7 +397,8 @@ def g_operator(frame: GFrame, basis: GFrame) -> ModuleOperator:
         for mem, e in zip(frame.members, basis.members):
             acc = acc + e.blocks[k] @ mem.blocks[k].conj().T
         blocks.append(acc)
-    return ModuleOperator(shape, d, d, blocks)
+    q_op = frame._g_operators[basis] = ModuleOperator._fresh(shape, d, d, blocks)
+    return q_op
 
 
 def reconstruct_from_g_operator(q_op: ModuleOperator, basis: GFrame) -> GFrame:

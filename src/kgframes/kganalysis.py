@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL_RANK, eigh_each, rank_cutoff, spectral_norms
+from .algebra import (
+    TOL_RANK,
+    eigh_each,
+    rank_cutoff,
+    singular_values_each,
+    spectral_norms,
+)
 from .errors import ShapeMismatch
 from .gframes import (
     GFrame,
@@ -34,6 +40,7 @@ from .operators import (
     pencil_over_spectrum,
     psd_quotient_max,
     range_included,
+    uniform_norms,
 )
 
 
@@ -65,14 +72,15 @@ def _certificate_from_direction(
 ) -> CounterexampleCertificate:
     x = embed_direction(frame.shape, frame.domain_rank, block, direction)
     k_image = k_op.adjoint().apply(x)
-    lhs = inner(k_image, k_image).seminorm(block)
-    rhs = 0.0
     acc = None
     for mem in frame.members:
         image = mem.apply(x)
         val = inner(image, image)
         acc = val if acc is None else acc + val
-    rhs = acc.seminorm(block)
+    # both seminorms of the block from one kernel call
+    lhs, rhs = spectral_norms(
+        [inner(k_image, k_image).blocks[block], acc.blocks[block]]
+    )
     big = np.inf if lhs <= 0 else rhs / lhs
     return CounterexampleCertificate(
         vector=x,
@@ -155,7 +163,7 @@ def is_kg_frame(
     pencil = pencil_over_spectrum(m_blocks, s_op.hermitian_spectrum(), rel_tol)
     scale = pencil.lower_scale
     upper = optimal_g_bounds(frame).upper
-    degenerate = k_op.uniform_norm() == 0.0
+    degenerate = not any(b.any() for b in k_op.blocks)
     verdict = (pencil.included and scale > 0.0) or degenerate
     counterexample = None
     if not verdict:
@@ -236,17 +244,18 @@ def tightness_scale(
     for m_blk, s_blk in zip(m_blocks, s_op.blocks):
         num += float(np.real(np.sum(m_blk.conj() * s_blk)))
         den += float(np.sum(np.abs(m_blk) ** 2))
-    s_norm = s_op.uniform_norm()
     if den == 0.0:
         scale = 1.0
-        residual = s_norm
+        residual = s_norm = s_op.uniform_norm()
     else:
         scale = max(num / den, 0.0)
-        residual = max(
-            spectral_norms(
-                [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)]
-            )
+        gap = ModuleOperator._fresh(
+            s_op.shape,
+            s_op.domain_rank,
+            s_op.codomain_rank,
+            [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)],
         )
+        residual, s_norm = uniform_norms(gap, s_op)
     return bool(residual <= tol_eq * (1.0 + s_norm) and scale > 0.0), scale, residual
 
 
@@ -295,8 +304,8 @@ def sqrt_factor_check(
     kg = is_kg_frame(frame, k_op, rel_tol=rel_tol)
     sqrt_op = frame.frame_operator().hermitian_sqrt()
     factor = k_op.then(sqrt_op.pinv(rel_tol=rel_tol))
-    residual = (factor.then(sqrt_op) - k_op).uniform_norm()
-    ok = kg.is_k_g_frame and residual <= tol_eq * (1.0 + k_op.uniform_norm())
+    residual, k_norm = uniform_norms(factor.then(sqrt_op) - k_op, k_op)
+    ok = kg.is_k_g_frame and residual <= tol_eq * (1.0 + k_norm)
     diagnostics = None
     if not ok:
         diagnostics = douglas(k_op, sqrt_op, tol_eq=tol_eq, rel_tol=rel_tol)
@@ -337,10 +346,11 @@ def quotient_bounded(
             f"domain ranks differ: {f_op.domain_rank} vs {t_op.domain_rank}"
         )
     well = True
-    for f_blk, t_blk in zip(f_op.blocks, t_op.blocks):
-        stacked = np.hstack([t_blk, f_blk])
-        svals_t = np.linalg.svd(t_blk, compute_uv=False)
-        svals_s = np.linalg.svd(stacked, compute_uv=False)
+    count = len(t_op.blocks)
+    svals = singular_values_each(
+        [*t_op.blocks, *(np.hstack([t, f]) for t, f in zip(t_op.blocks, f_op.blocks))]
+    )
+    for svals_t, svals_s in zip(svals[:count], svals[count:]):
         cutoff = rank_cutoff(svals_s[0], rel_tol)
         rank_t = int(np.sum(svals_t > cutoff))
         rank_s = int(np.sum(svals_s > cutoff))

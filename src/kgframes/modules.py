@@ -3,6 +3,10 @@
 A vector in the rank-d free module has d algebra components.  Per block
 the components are kept side by side in one row stack of width n_k * d,
 which is the form every operator acts on by right multiplication.
+
+Public construction copies the stacks into read-only complex arrays;
+module arithmetic, operator images and inner products adopt their fresh
+results in place (`algebra._adopt`) and skip the copy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, _freeze, _check_same_shape
+from .algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    _adopt,
+    _check_same_shape,
+    _freeze,
+    spectral_norms,
+)
 from .errors import ShapeMismatch
 
 
@@ -37,6 +48,18 @@ class ModuleVector:
         self.shape = shape
         self.rank = rank
         self.stacks = stacks
+
+    @classmethod
+    def _fresh(
+        cls, shape: AlgebraShape, rank: int, stacks: Iterable[np.ndarray]
+    ) -> "ModuleVector":
+        """Trusted constructor for freshly computed stacks of the right
+        shapes: adopted in place, neither copied nor checked."""
+        out = cls.__new__(cls)
+        out.shape = shape
+        out.rank = rank
+        out.stacks = _adopt(stacks)
+        return out
 
     @classmethod
     def from_components(
@@ -81,23 +104,23 @@ class ModuleVector:
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
-        return ModuleVector(
+        return ModuleVector._fresh(
             self.shape, self.rank, [a + b for a, b in zip(self.stacks, other.stacks)]
         )
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
-        return ModuleVector(
+        return ModuleVector._fresh(
             self.shape, self.rank, [a - b for a, b in zip(self.stacks, other.stacks)]
         )
 
     def scale(self, c: complex) -> "ModuleVector":
-        return ModuleVector(self.shape, self.rank, [c * s for s in self.stacks])
+        return ModuleVector._fresh(self.shape, self.rank, [c * s for s in self.stacks])
 
     def left_mul(self, a: AlgebraElement) -> "ModuleVector":
         """Module action: multiply every component by a on the left."""
         _check_same_shape(self.shape, a.shape)
-        return ModuleVector(
+        return ModuleVector._fresh(
             self.shape, self.rank, [blk @ s for blk, s in zip(a.blocks, self.stacks)]
         )
 
@@ -121,7 +144,7 @@ def inner(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     blocks = [
         np.einsum("ip,jp->ij", xs, ys.conj()) for xs, ys in zip(x.stacks, y.stacks)
     ]
-    return AlgebraElement(x.shape, blocks)
+    return AlgebraElement._fresh(x.shape, blocks)
 
 
 def vector_seminorm(x: ModuleVector, k: int) -> float:
@@ -131,4 +154,18 @@ def vector_seminorm(x: ModuleVector, k: int) -> float:
 
 def max_vector_seminorm(x: ModuleVector) -> float:
     """Largest induced seminorm over the blocks, from one inner product."""
-    return max(float(np.sqrt(s)) for s in inner(x, x).seminorms())
+    return max_vector_seminorms(x)[0]
+
+
+def max_vector_seminorms(*xs: ModuleVector) -> tuple[float, ...]:
+    """Largest induced seminorm over the blocks of every vector, from one
+    kernel call for all their inner products."""
+    grams = [inner(x, x).blocks for x in xs]
+    norms = spectral_norms([blk for blocks in grams for blk in blocks])
+    out = []
+    start = 0
+    for blocks in grams:
+        stop = start + len(blocks)
+        out.append(max(float(np.sqrt(s)) for s in norms[start:stop]))
+        start = stop
+    return tuple(out)

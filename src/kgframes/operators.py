@@ -9,11 +9,18 @@ order, and the adjoint is the blockwise conjugate transpose.
 
 Spectral norms go through the one stacked kernel,
 `algebra.spectral_norms`, Hermitian eigendecompositions through
-`algebra.eigh_each`, and range projections through one stacked thin SVD:
-each makes one LAPACK call per block shape.  An
+`algebra.eigh_each`, and range projections and pseudoinverses through
+one stacked thin SVD: each makes one LAPACK call per block shape.  An
 operator's uniform norm and Hermitian spectrum are computed once and
 kept, so the frame operator shared by a frame's bounds, pencil and
-square root is decomposed once.
+square root is decomposed once; `uniform_norms` measures the norms that
+a verdict needs together in one kernel call.
+
+Public construction copies the blocks into read-only complex arrays and
+checks their shapes.  Composites, sums, scalings, adjoints, inverses,
+projections and square roots are fresh arrays of the right shapes, so
+they go through the trusted `ModuleOperator._fresh`, which freezes them
+in place and skips both.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     PositivityVerdict,
+    _adopt,
     _check_same_shape,
     _each,
     _freeze,
@@ -37,6 +45,7 @@ from .algebra import (
     leq,
     psd_verdict,
     rank_cutoff,
+    singular_values_each,
     spectral_norms,
 )
 from .errors import InvertibilityError, ShapeMismatch
@@ -52,6 +61,22 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 def _row_spaces(stack: np.ndarray):
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
     return zip(svals, vh)
+
+
+def _pseudoinverses(rel_tol: float):
+    """Stack kernel for `_each`: the pseudoinverse of every matrix, by
+    np.linalg.pinv's operations in its order, with `rank_cutoff`."""
+
+    def decompose(stack: np.ndarray) -> np.ndarray:
+        u, s, vt = np.linalg.svd(stack.conjugate(), full_matrices=False)
+        # LAPACK returns the singular values in descending order
+        cutoff = np.array([rank_cutoff(top, rel_tol) for top in s[:, 0].tolist()])
+        large = s > cutoff[:, None]
+        s = np.divide(1, s, where=large, out=s)
+        s[~large] = 0
+        return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
+
+    return decompose
 
 
 class ModuleOperator:
@@ -92,6 +117,25 @@ class ModuleOperator:
         self.blocks = blocks
         self._norm: float | None = None
         self._spectrum: tuple | None = None
+
+    @classmethod
+    def _fresh(
+        cls,
+        shape: AlgebraShape,
+        domain_rank: int,
+        codomain_rank: int,
+        blocks: Iterable[np.ndarray],
+    ) -> "ModuleOperator":
+        """Trusted constructor for freshly computed realizations of the
+        right shapes: adopted in place, neither copied nor checked."""
+        out = cls.__new__(cls)
+        out.shape = shape
+        out.domain_rank = domain_rank
+        out.codomain_rank = codomain_rank
+        out.blocks = _adopt(blocks)
+        out._norm = None
+        out._spectrum = None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -150,11 +194,11 @@ class ModuleOperator:
 
     def adjoint(self) -> "ModuleOperator":
         """Conjugate transpose of every realization block, exactly."""
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.codomain_rank,
             self.domain_rank,
-            [b.conj().T for b in self.blocks],
+            [np.conjugate(b.T, order="C") for b in self.blocks],
         )
 
     # -- action and composition ---------------------------------------
@@ -165,7 +209,7 @@ class ModuleOperator:
             raise ShapeMismatch(
                 f"vector rank {x.rank} does not match domain rank {self.domain_rank}"
             )
-        return ModuleVector(
+        return ModuleVector._fresh(
             self.shape,
             self.codomain_rank,
             [s @ b for s, b in zip(x.stacks, self.blocks)],
@@ -193,7 +237,7 @@ class ModuleOperator:
                 f"cannot chain codomain rank {self.codomain_rank} "
                 f"into domain rank {other.domain_rank}"
             )
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.domain_rank,
             other.codomain_rank,
@@ -202,7 +246,7 @@ class ModuleOperator:
 
     def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
         self._check_same_dims(other)
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.domain_rank,
             self.codomain_rank,
@@ -211,7 +255,7 @@ class ModuleOperator:
 
     def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
         self._check_same_dims(other)
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.domain_rank,
             self.codomain_rank,
@@ -219,7 +263,7 @@ class ModuleOperator:
         )
 
     def scale(self, c: complex) -> "ModuleOperator":
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.domain_rank,
             self.codomain_rank,
@@ -245,30 +289,30 @@ class ModuleOperator:
     def pinv(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Blockwise Moore-Penrose pseudoinverse.
 
-        Singular values up to rel_tol times the largest one are dropped:
-        numpy's `rcond` rule, which is `rank_cutoff` without its floor (a
-        zero block has no singular value to keep either way).
+        Singular values up to `rank_cutoff` of the largest one are
+        dropped.  One stacked thin SVD per block shape; every block is
+        bitwise np.linalg.pinv(b, rcond=rel_tol) wherever the largest
+        singular value is at least `RANK_FLOOR`.
         """
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.codomain_rank,
             self.domain_rank,
-            [np.linalg.pinv(b, rcond=rel_tol) for b in self.blocks],
+            _each(_pseudoinverses(rel_tol), self.blocks),
         )
 
     def inverse(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Blockwise inverse; raises when any block is numerically singular."""
         if self.domain_rank != self.codomain_rank:
             raise InvertibilityError("only square operators can be inverted")
-        for k, blk in enumerate(self.blocks):
-            svals = np.linalg.svd(blk, compute_uv=False)
+        for k, svals in enumerate(singular_values_each(self.blocks)):
             if svals[-1] <= rank_cutoff(svals[0], rel_tol):
                 raise InvertibilityError(f"block {k} is numerically singular")
-        return ModuleOperator(
+        return ModuleOperator._fresh(
             self.shape,
             self.domain_rank,
             self.codomain_rank,
-            [np.linalg.inv(b) for b in self.blocks],
+            _each(np.linalg.inv, self.blocks),
         )
 
     def range_projection(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
@@ -284,19 +328,19 @@ class ModuleOperator:
             keep = svals > rank_cutoff(svals[0], rel_tol)
             vr = vh[keep].conj().T
             blocks.append(_hermitize(vr @ vr.conj().T))
-        return ModuleOperator(self.shape, self.codomain_rank, self.codomain_rank, blocks)
+        return ModuleOperator._fresh(
+            self.shape, self.codomain_rank, self.codomain_rank, blocks
+        )
 
     def rank_profile(self, rel_tol: float = TOL_RANK) -> tuple[int, ...]:
         """Numerical rank of each realization block."""
-        out = []
-        for blk in self.blocks:
-            svals = np.linalg.svd(blk, compute_uv=False)
-            cutoff = rank_cutoff(svals[0], rel_tol)
-            out.append(int(np.sum(svals > cutoff)))
-        return tuple(out)
+        return tuple(
+            int(np.sum(svals > rank_cutoff(svals[0], rel_tol)))
+            for svals in singular_values_each(self.blocks)
+        )
 
     def smallest_singular_value(self) -> float:
-        return min(float(np.linalg.svd(b, compute_uv=False)[-1]) for b in self.blocks)
+        return min(float(svals[-1]) for svals in singular_values_each(self.blocks))
 
     def hermitian_spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Ascending eigenvalues and eigenvectors of each block's Hermitian part.
@@ -318,7 +362,9 @@ class ModuleOperator:
         for lam, vecs in self.hermitian_spectrum():
             lam = np.clip(lam, 0.0, None)
             blocks.append(_hermitize((vecs * np.sqrt(lam)) @ vecs.conj().T))
-        return ModuleOperator(self.shape, self.domain_rank, self.codomain_rank, blocks)
+        return ModuleOperator._fresh(
+            self.shape, self.domain_rank, self.codomain_rank, blocks
+        )
 
     def positivity(
         self, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM
@@ -340,6 +386,23 @@ class ModuleOperator:
             f"ModuleOperator(shape={self.shape.sizes}, "
             f"{self.domain_rank}->{self.codomain_rank})"
         )
+
+
+def uniform_norms(*ops: ModuleOperator) -> tuple[float, ...]:
+    """Uniform norm of every operator, each bitwise its `uniform_norm`.
+
+    The operators not yet measured share one `spectral_norms` call, one
+    LAPACK launch per block shape, and keep their norms as `uniform_norm`
+    does.
+    """
+    todo = [op for op in ops if op._norm is None]
+    norms = spectral_norms([b for op in todo for b in op.blocks])
+    start = 0
+    for op in todo:
+        stop = start + len(op.blocks)
+        op._norm = max(norms[start:stop])
+        start = stop
+    return tuple(op._norm for op in ops)
 
 
 def operator_distance(a: ModuleOperator, b: ModuleOperator) -> float:
@@ -499,10 +562,10 @@ def range_included(
     _check_same_shape(t_op.shape, z_op.shape)
     if t_op.codomain_rank != z_op.codomain_rank:
         raise ShapeMismatch("operators must share their codomain")
-    slack = tol_eq * (1.0 + t_op.uniform_norm())
     proj = z_op.range_projection(rel_tol=rel_tol)
     complement = ModuleOperator.identity(t_op.shape, t_op.codomain_rank) - proj
-    return t_op.then(complement).uniform_norm() <= slack
+    t_norm, leak = uniform_norms(t_op, t_op.then(complement))
+    return leak <= tol_eq * (1.0 + t_norm)
 
 
 def douglas(

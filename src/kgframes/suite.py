@@ -65,8 +65,8 @@ from .kganalysis import (
     tightness_check,
     tightness_scale,
 )
-from .modules import max_vector_seminorm
-from .operators import TOL_EQ, ModuleOperator, operator_distance
+from .modules import max_vector_seminorms
+from .operators import TOL_EQ, ModuleOperator, uniform_norms
 from .version import __version__
 
 FORMAT_VERSION = "1"
@@ -211,18 +211,19 @@ def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
     frame = inst.frame
     ana = frame.analysis_operator()
     syn = frame.synthesis_operator()
-    syn_norm = syn.uniform_norm()
-    adjoint_res = operator_distance(syn, ana.adjoint())
-    s_res = operator_distance(ana.then(syn), frame.frame_operator())
+    syn_norm, adjoint_res, s_res = uniform_norms(
+        syn, syn - ana.adjoint(), ana.then(syn) - frame.frame_operator()
+    )
     upper = optimal_g_bounds(frame).upper
     bessel_dev = abs(syn_norm**2 - upper)
     rng = _rng_for(config, "synthesis_bound", trial, "probe")
+    g_vecs = [
+        random_vector(rng, inst.shape, frame.total_codomain_rank) for _ in range(3)
+    ]
+    seminorms = max_vector_seminorms(*(syn.apply(g) for g in g_vecs), *g_vecs)
     bound_margin = 0.0
-    for _ in range(3):
-        g_vec = random_vector(rng, inst.shape, frame.total_codomain_rank)
-        out = max_vector_seminorm(syn.apply(g_vec))
-        cap = syn_norm * max_vector_seminorm(g_vec)
-        bound_margin = max(bound_margin, out - cap)
+    for out, g_seminorm in zip(seminorms[:3], seminorms[3:]):
+        bound_margin = max(bound_margin, out - syn_norm * g_seminorm)
     ok = (
         adjoint_res <= 1e-12 * (1.0 + syn_norm)
         and s_res <= 1e-10 * (1.0 + upper)
@@ -325,10 +326,11 @@ def _check_g_operator_roundtrip(config: SuiteConfig, trial: int) -> TrialOutcome
     q0 = clamped_square(rng, inst.shape, inst.spec.module_rank)
     frame = reconstruct_from_g_operator(q0, inst.basis)
     q_back = g_operator(frame, inst.basis)
-    q_dist = operator_distance(q_back, q0)
     s_op = frame.frame_operator()
-    product_res = operator_distance(q_back.adjoint().then(q_back), s_op)
-    recon_dev = 0.0
+    q_dist, product_res, s_norm = uniform_norms(
+        q_back - q0, q_back.adjoint().then(q_back) - s_op, s_op
+    )
+    gaps, lhss = [], []
     for _ in range(2):
         x_vec = random_vector(rng, inst.shape, inst.spec.module_rank)
         lhs = q_back.apply(x_vec)
@@ -336,13 +338,15 @@ def _check_g_operator_roundtrip(config: SuiteConfig, trial: int) -> TrialOutcome
         for mem, e_mem in zip(frame.members, inst.basis.members):
             term = mem.adjoint().apply(e_mem.apply(x_vec))
             rhs = term if rhs is None else rhs + term
-        recon_dev = max(
-            recon_dev,
-            max_vector_seminorm(lhs - rhs) / (1.0 + max_vector_seminorm(lhs)),
-        )
+        gaps.append(lhs - rhs)
+        lhss.append(lhs)
+    seminorms = max_vector_seminorms(*gaps, *lhss)
+    recon_dev = 0.0
+    for gap, size in zip(seminorms[:2], seminorms[2:]):
+        recon_dev = max(recon_dev, gap / (1.0 + size))
     ok = (
         q_dist <= 1e-10
-        and product_res <= 1e-10 * (1.0 + s_op.uniform_norm())
+        and product_res <= 1e-10 * (1.0 + s_norm)
         and recon_dev <= 1e-12
     )
     measured = {
@@ -397,19 +401,20 @@ def _check_coisometric_parseval(config: SuiteConfig, trial: int) -> TrialOutcome
     ident = ModuleOperator.identity(inst.shape, inst.spec.module_rank)
 
     frame_pos = reconstruct_from_g_operator(q_uni, inst.basis)
-    defect_pos = operator_distance(q_uni.adjoint().then(q_uni), ident)
     parseval_pos, scale_pos, residual_pos = _parseval_signature(frame_pos, k_op, config)
 
     q_scaled = q_uni.scale(1.3)
     frame_scaled = reconstruct_from_g_operator(q_scaled, inst.basis)
-    defect_scaled = operator_distance(q_scaled.adjoint().then(q_scaled), ident)
     parseval_scaled, scale_scaled, _ = _parseval_signature(frame_scaled, k_op, config)
 
     rng = _rng_for(config, "coisometric_parseval", trial, "skew")
     q_generic = clamped_square(rng, inst.shape, inst.spec.module_rank)
     frame_generic = reconstruct_from_g_operator(q_generic, inst.basis)
-    defect_generic = operator_distance(q_generic.adjoint().then(q_generic), ident)
     parseval_generic, _, _ = _parseval_signature(frame_generic, k_op, config)
+    # distance of each Q* Q from the identity, from one kernel call
+    defect_pos, defect_scaled, defect_generic = uniform_norms(
+        *(q.adjoint().then(q) - ident for q in (q_uni, q_scaled, q_generic))
+    )
 
     ok = (
         defect_pos <= 1e-10

@@ -170,6 +170,23 @@ def test_recheck_judges_at_the_recorded_tolerance(certificate, capsys):
     assert "dual: yes  reproduced: yes" in capsys.readouterr().out
 
 
+def test_a_reused_parser_carries_nothing_between_commands(
+    certificate, pinned_doc, capsys
+):
+    from kgframes import cli
+
+    assert cli._parser() is cli._parser()
+    assert main(["dual", str(pinned_doc), "--tol-eq", "1e-30"]) == 2
+    capsys.readouterr()
+    # the recheck judges at the recorded tolerance, not at the last one given
+    assert main(["dual", str(certificate), "--recheck"]) == 0
+    assert "at tol_eq 1e-08" in capsys.readouterr().out
+    assert main(["check", str(pinned_doc), "--require-tight"]) == 2
+    assert "residual:" in capsys.readouterr().out
+    assert main(["check", str(pinned_doc)]) == 0
+    assert "residual:" not in capsys.readouterr().out
+
+
 def test_verify_is_deterministic(tmp_path, capsys):
     args = [
         "verify",

@@ -72,9 +72,12 @@ def test_vector_seminorm_matches_inner_product():
         assert kg.vector_seminorm(x, k) == pytest.approx(
             np.sqrt(kg.inner(x, x).seminorm(k)), rel=1e-12
         )
-    assert kg.max_vector_seminorm(x) == max(
-        kg.vector_seminorm(x, k) for k in range(shape.block_count)
-    )
+    largest = max(kg.vector_seminorm(x, k) for k in range(shape.block_count))
+    assert kg.max_vector_seminorm(x) == largest
+    # several vectors share one kernel call and keep their own values
+    y = random_vector(rng, shape, 4)
+    both = kg.max_vector_seminorms(x, y, x)
+    assert both == (largest, kg.max_vector_seminorm(y), largest)
 
 
 def test_basis_vectors_and_components():

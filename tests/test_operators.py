@@ -112,6 +112,32 @@ def test_pinv_satisfies_penrose_identities():
         assert np.allclose(proj2, proj2.conj().T, atol=1e-12)
 
 
+def _gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("rel_tol", [kg.TOL_RANK, 1e-3])
+def test_pinv_is_numpy_pinv_bitwise(rel_tol):
+    # three blocks of one size share a stacked SVD: a full-rank, a
+    # rank-deficient and a zero realization, from 1x1 up to 24x24
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4, 8):
+        shape = kg.AlgebraShape((n, n, n))
+        for d, c in ((1, 1), (2, 3), (3, 2), (3, 3)):
+            rows, cols = n * d, n * c
+            low = max(1, min(rows, cols) // 2)
+            blocks = [
+                _gaussian(rng, rows, cols),
+                _gaussian(rng, rows, low) @ _gaussian(rng, low, cols),
+                np.zeros((rows, cols), dtype=complex),
+            ]
+            op = kg.ModuleOperator(shape, d, c, blocks)
+            for got, blk in zip(op.pinv(rel_tol).blocks, op.blocks):
+                want = np.linalg.pinv(blk, rcond=rel_tol)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 def test_hermitian_sqrt():
     rng = np.random.default_rng(28)
     shape = kg.AlgebraShape((3,))

@@ -42,6 +42,12 @@ def test_every_consumer_implies_the_same_rank(name):
         int(round(np.trace(p).real)) for p in op.range_projection(RT).blocks
     )
     assert traces == ranks
+    # the pseudoinverse inverts exactly the kept singular values
+    kept = tuple(
+        int(round(np.trace(b @ p).real))
+        for b, p in zip(op.blocks, op.pinv(RT).blocks)
+    )
+    assert kept == ranks
     if full:
         op.inverse(RT)
     else:
