@@ -4,12 +4,22 @@ An algebra element is one square complex matrix per block.  The k-th
 seminorm is the spectral norm of the k-th block; positivity and the
 induced order are decided blockwise with relative tolerances.
 
+Every numerical decision of the package has its rule here.  A rank
+decision keeps a singular value (or eigenvalue) above `rank_cutoff`.  A
+threshold verdict (positivity, the Hermitian test, the leak out of a
+range, a dual, tightness or factor residual) passes when its residual
+is at most `slack(tol, scale) = tol * (1 + scale)`, the scale being the
+norm of the operand the residual is measured against.  The one
+tolerance that is not a parameter is `INCLUSION_TOL`, the floor of the
+K-pencil's range-inclusion test.
+
 Blocks are small, so a LAPACK call costs more in overhead than in flops.
 The decomposition kernels here take many matrices at once and make one
 stacked call per shape and dtype; LAPACK still runs on each matrix of
 the stack alone, so every result is bitwise that of a single call.  A
-group of matrices that are all zero makes no call: its spectral norms
-are 0.0, which is what LAPACK returns for them.
+group of matrices that are all zero makes no call: its singular values,
+and so its spectral norms, are 0.0, which is what LAPACK returns for
+them.
 
 Public construction of an element copies its blocks into read-only
 complex C-ordered arrays.  Arithmetic results are fresh arrays of that
@@ -30,6 +40,9 @@ from .errors import ShapeMismatch
 TOL_PSD = 1e-9
 TOL_HERM = 1e-10
 TOL_RANK = 1e-10
+# The pencil's range-inclusion tolerance (`operators.pencil_over_spectrum`):
+# fixed, so an absolute floor that an M small enough slips under.
+INCLUSION_TOL = 1e-12
 
 # Stands in for a vanishing top singular value or eigenvalue, so a zero
 # block keeps a positive cutoff and retains nothing.
@@ -41,6 +54,12 @@ def rank_cutoff(top: float, rel_tol: float) -> float:
     the numerical rank when it exceeds rel_tol times the largest one,
     floored at RANK_FLOOR."""
     return rel_tol * max(top, RANK_FLOOR)
+
+
+def slack(tol: float, scale: float) -> float:
+    """The one residual gate: a residual measured against an operand of
+    norm `scale` passes when it is at most this."""
+    return tol * (1.0 + scale)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -79,30 +98,27 @@ def _each(decompose, mats: Sequence[np.ndarray]) -> list:
     return out
 
 
-def _top_singular_values(stack: np.ndarray) -> list[float]:
-    if not np.count_nonzero(stack):  # all zero, or no entries at all
-        return [0.0] * len(stack)
-    # LAPACK returns the singular values in descending order
-    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+def singular_values_each(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Descending singular values of every matrix, in input order, each
+    bitwise what np.linalg.svd(mat, compute_uv=False) returns.
+
+    A group that is all zero (or has no entries) skips LAPACK: its values
+    are zeros, which is what LAPACK returns for it.
+    """
+
+    def decompose(stack: np.ndarray) -> np.ndarray:
+        if not np.count_nonzero(stack):
+            return np.zeros((len(stack), min(stack.shape[1:])))
+        return np.linalg.svd(stack, compute_uv=False)
+
+    return _each(decompose, mats)
 
 
 def spectral_norms(mats: Sequence[np.ndarray]) -> list[float]:
-    """Spectral norm of every matrix, in input order.
-
-    Each value is bitwise the one np.linalg.norm(mat, 2) returns, 0.0 for
-    a matrix with no entries; a group that is all zero skips LAPACK.
-    """
-    return _each(_top_singular_values, mats)
-
-
-def _singular_values(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)
-
-
-def singular_values_each(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Descending singular values of every matrix, in input order, each
-    bitwise what np.linalg.svd(mat, compute_uv=False) returns."""
-    return _each(_singular_values, mats)
+    """Spectral norm of every matrix, in input order: the first (largest)
+    of its singular values, bitwise the one np.linalg.norm(mat, 2)
+    returns, and 0.0 for a matrix with no entries."""
+    return [float(s[0]) if s.size else 0.0 for s in singular_values_each(mats)]
 
 
 def _read_only_eigh(stack: np.ndarray):
@@ -185,9 +201,9 @@ def psd_verdict(
     for k in range(count):
         norm = norms[k]
         herm_gap = norms[count + k]
-        blk_herm_ok = herm_gap <= tol_herm * (1.0 + norm)
+        blk_herm_ok = herm_gap <= slack(tol_herm, norm)
         lam_min = float(spectra[k][0]) if spectra[k].size else 0.0
-        margin = lam_min + tol_psd * (1.0 + norm)
+        margin = lam_min + slack(tol_psd, norm)
         if not blk_herm_ok:
             herm_ok = False
             positive = False

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .algebra import TOL_PSD, TOL_RANK
+from .algebra import TOL_PSD, TOL_RANK, slack
 from .docio import (
     InstanceDocument,
     build_certificate,
@@ -203,8 +203,8 @@ def _recheck_dual(args: argparse.Namespace) -> int:
     tol_eq = cert_doc.tol_eq if args.tol_eq is None else args.tol_eq
     cert = verify_k_dual(doc.frame, cert_doc.dual_frame, k_op, tol_eq=tol_eq)
     recorded = cert_doc.residual
-    reproduced = recorded is not None and abs(recorded - cert.residual) <= 1e-10 * (
-        1.0 + abs(recorded)
+    reproduced = recorded is not None and abs(recorded - cert.residual) <= slack(
+        1e-10, abs(recorded)
     )
     print(
         "recorded residual: missing"

@@ -19,6 +19,7 @@ from .algebra import (
     eigvalsh_each,
     rank_cutoff,
     singular_values_each,
+    slack,
     spectral_norms,
 )
 from .errors import CommutationError, DualityError, IsometryError, ShapeMismatch
@@ -93,7 +94,7 @@ def verify_k_dual(
     k_norm = k_op.uniform_norm()
     return DualCertificate(
         residual=residual,
-        is_dual=residual <= tol_eq * (1.0 + k_norm),
+        is_dual=residual <= slack(tol_eq, k_norm),
         construction=construction,
     )
 
@@ -172,7 +173,7 @@ def dual_via_g_operators(
     p_op = g_operator(xi, basis)
     product = p_op.adjoint().then(q_op)
     residual, k_norm = uniform_norms(product - k_op, k_op)
-    return residual <= tol_eq * (1.0 + k_norm)
+    return residual <= slack(tol_eq, k_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +192,9 @@ def _require_isometries(
 ) -> None:
     """Raise IsometryError at the first operator whose composite with its
     own adjoint (adjoint applied first or second) deviates from the
-    identity by more than tol_iso; one kernel call for every block."""
+    identity by more than tol_iso; one kernel call for every block.  An
+    operator listed more than once is measured once."""
+    w_ops = list({id(w_op): w_op for w_op in w_ops}.values())
     grams = [
         b.conj().T @ b if adjoint_first else b @ b.conj().T
         for w_op in w_ops
@@ -340,7 +343,7 @@ def zero_overlap_perturbation(
     q_op = g_operator(gamma, basis)
     p_op = g_operator(xi, basis)
     overlap_norm = p_op.adjoint().then(q_op).uniform_norm()
-    predicate = overlap_norm <= tol_eq * (1.0 + k_op.uniform_norm())
+    predicate = overlap_norm <= slack(tol_eq, k_op.uniform_norm())
     return PerturbationReport(
         is_dual=certificate.is_dual,
         certificate=certificate,

@@ -19,6 +19,7 @@ from .algebra import (
     eigh_each,
     rank_cutoff,
     singular_values_each,
+    slack,
     spectral_norms,
 )
 from .errors import ShapeMismatch
@@ -35,6 +36,7 @@ from .operators import (
     DouglasCertificate,
     ModuleOperator,
     PencilResult,
+    _absolute_square_blocks,
     _hermitize,
     douglas,
     pencil_over_spectrum,
@@ -42,11 +44,6 @@ from .operators import (
     range_included,
     uniform_norms,
 )
-
-
-def _absolute_square_blocks(op: ModuleOperator) -> list[np.ndarray]:
-    """Realization of the composite (apply adjoint(op), then op)."""
-    return [_hermitize(b.conj().T @ b) for b in op.blocks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +253,7 @@ def tightness_scale(
             [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)],
         )
         residual, s_norm = uniform_norms(gap, s_op)
-    return bool(residual <= tol_eq * (1.0 + s_norm) and scale > 0.0), scale, residual
+    return bool(residual <= slack(tol_eq, s_norm) and scale > 0.0), scale, residual
 
 
 def tightness_check(
@@ -305,7 +302,7 @@ def sqrt_factor_check(
     sqrt_op = frame.frame_operator().hermitian_sqrt()
     factor = k_op.then(sqrt_op.pinv(rel_tol=rel_tol))
     residual, k_norm = uniform_norms(factor.then(sqrt_op) - k_op, k_op)
-    ok = kg.is_k_g_frame and residual <= tol_eq * (1.0 + k_norm)
+    ok = kg.is_k_g_frame and residual <= slack(tol_eq, k_norm)
     diagnostics = None
     if not ok:
         diagnostics = douglas(k_op, sqrt_op, tol_eq=tol_eq, rel_tol=rel_tol)

@@ -152,11 +152,6 @@ def vector_seminorm(x: ModuleVector, k: int) -> float:
     return float(np.sqrt(inner(x, x).seminorm(k)))
 
 
-def max_vector_seminorm(x: ModuleVector) -> float:
-    """Largest induced seminorm over the blocks, from one inner product."""
-    return max_vector_seminorms(x)[0]
-
-
 def max_vector_seminorms(*xs: ModuleVector) -> tuple[float, ...]:
     """Largest induced seminorm over the blocks of every vector, from one
     kernel call for all their inner products."""

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
+    INCLUSION_TOL,
     TOL_PSD,
     TOL_HERM,
     TOL_RANK,
@@ -46,6 +47,7 @@ from .algebra import (
     psd_verdict,
     rank_cutoff,
     singular_values_each,
+    slack,
     spectral_norms,
 )
 from .errors import InvertibilityError, ShapeMismatch
@@ -56,6 +58,11 @@ TOL_EQ = 1e-8
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
+
+
+def _absolute_square_blocks(op: "ModuleOperator") -> list[np.ndarray]:
+    """Realization of the composite (apply adjoint(op), then op)."""
+    return [_hermitize(b.conj().T @ b) for b in op.blocks]
 
 
 def _row_spaces(stack: np.ndarray):
@@ -442,24 +449,22 @@ def psd_quotient_max(
     m_blocks: Sequence[np.ndarray],
     n_blocks: Sequence[np.ndarray],
     rel_tol: float = TOL_RANK,
-    inclusion_tol: float = 1e-12,
 ) -> PencilResult:
     """Largest value of (x* M x) / (x* N x) over the range of N, per block.
 
     M and N are Hermitian PSD.  `included` reports whether the range of M
-    sits inside the range of N on every block; when it does, the returned
-    quotient is the smallest t with M <= t N (callers take reciprocals
-    as needed).
+    sits inside the range of N on every block, up to `INCLUSION_TOL`;
+    when it does, the returned quotient is the smallest t with M <= t N
+    (callers take reciprocals as needed).
     """
     n_spectrum = eigh_each([_hermitize(n) for n in n_blocks])
-    return pencil_over_spectrum(m_blocks, n_spectrum, rel_tol, inclusion_tol)
+    return pencil_over_spectrum(m_blocks, n_spectrum, rel_tol)
 
 
 def pencil_over_spectrum(
     m_blocks: Sequence[np.ndarray],
     n_spectrum: Sequence[tuple[np.ndarray, np.ndarray]],
     rel_tol: float = TOL_RANK,
-    inclusion_tol: float = 1e-12,
 ) -> PencilResult:
     """psd_quotient_max over a given eigendecomposition of each N block.
 
@@ -492,8 +497,8 @@ def pencil_over_spectrum(
     m_scales, leak_norms = norms[: len(ms)], norms[len(ms) :]
     # where N vanishes only M = 0 is compatible; elsewhere M must not
     # leak out of the range of N
-    included = not any(m_scales[k] > inclusion_tol for k in vanished) and not any(
-        leak > inclusion_tol * (1.0 + m_scales[k])
+    included = not any(m_scales[k] > INCLUSION_TOL for k in vanished) and not any(
+        leak > slack(INCLUSION_TOL, m_scales[k])
         for leak, (k, _, _) in zip(leak_norms, kept)
     )
     worst_quot = -1.0
@@ -556,7 +561,7 @@ def range_included(
     Projector route: with P the orthogonal projector onto the range of
     z_op (singular values below rel_tol times the largest one dropped),
     the inclusion holds when the uniform norm of (apply t_op, then I - P)
-    is at most tol_eq * (1 + |t_op|).  This is route 1 of `douglas`, for
+    is at most slack(tol_eq, |t_op|).  This is route 1 of `douglas`, for
     callers that need the verdict and not the pencil or the factor.
     """
     _check_same_shape(t_op.shape, z_op.shape)
@@ -565,7 +570,7 @@ def range_included(
     proj = z_op.range_projection(rel_tol=rel_tol)
     complement = ModuleOperator.identity(t_op.shape, t_op.codomain_rank) - proj
     t_norm, leak = uniform_norms(t_op, t_op.then(complement))
-    return leak <= tol_eq * (1.0 + t_norm)
+    return leak <= slack(tol_eq, t_norm)
 
 
 def douglas(
@@ -583,18 +588,17 @@ def douglas(
     """
     # route 1: orthogonal projector onto the range of z_op (checks shapes)
     included = range_included(t_op, z_op, tol_eq=tol_eq, rel_tol=rel_tol)
-    slack = tol_eq * (1.0 + t_op.uniform_norm())
 
     # route 2: PSD pencil of the two absolute squares
-    tt = [_hermitize(b.conj().T @ b) for b in t_op.blocks]
-    zz = [_hermitize(b.conj().T @ b) for b in z_op.blocks]
-    pencil = psd_quotient_max(tt, zz, rel_tol=rel_tol)
+    pencil = psd_quotient_max(
+        _absolute_square_blocks(t_op), _absolute_square_blocks(z_op), rel_tol=rel_tol
+    )
     alpha_min = float(np.sqrt(pencil.quotient)) if pencil.included else np.inf
 
     # route 3: explicit factor through the pseudoinverse
     factor = t_op.then(z_op.pinv(rel_tol=rel_tol))
     residual = operator_distance(factor.then(z_op), t_op)
-    factor_ok = residual <= slack
+    factor_ok = residual <= slack(tol_eq, t_op.uniform_norm())
 
     return DouglasCertificate(
         range_included=included,

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import TOL_PSD, TOL_RANK, rank_cutoff
+from .algebra import TOL_PSD, TOL_RANK, rank_cutoff, slack
 from .duality import (
     canonical_k_dual,
     coisometry_transport,
@@ -225,10 +225,10 @@ def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
     for out, g_seminorm in zip(seminorms[:3], seminorms[3:]):
         bound_margin = max(bound_margin, out - syn_norm * g_seminorm)
     ok = (
-        adjoint_res <= 1e-12 * (1.0 + syn_norm)
-        and s_res <= 1e-10 * (1.0 + upper)
-        and bessel_dev <= config.tol_eq * (1.0 + upper)
-        and bound_margin <= 1e-9 * (1.0 + syn_norm)
+        adjoint_res <= slack(1e-12, syn_norm)
+        and s_res <= slack(1e-10, upper)
+        and bessel_dev <= slack(config.tol_eq, upper)
+        and bound_margin <= slack(1e-9, syn_norm)
     )
     measured = {
         "adjoint_residual": adjoint_res,
@@ -251,11 +251,7 @@ def _psd_agreement(frame: GFrame, k_op: ModuleOperator, config: SuiteConfig) -> 
         if above is not None:
             out["min_eig_above_optimum"] = above
     elif not rep.is_k_g_frame:
-        probe = (
-            1e-3
-            * (1.0 + s_op.uniform_norm())
-            / (1.0 + abs_sq.uniform_norm())
-        )
+        probe = slack(1e-3, s_op.uniform_norm()) / (1.0 + abs_sq.uniform_norm())
         verdict_probe = (s_op - abs_sq.scale(probe)).positivity(
             tol_psd=config.tol_psd
         )
@@ -346,7 +342,7 @@ def _check_g_operator_roundtrip(config: SuiteConfig, trial: int) -> TrialOutcome
         recon_dev = max(recon_dev, gap / (1.0 + size))
     ok = (
         q_dist <= 1e-10
-        and product_res <= 1e-10 * (1.0 + s_norm)
+        and product_res <= slack(1e-10, s_norm)
         and recon_dev <= 1e-12
     )
     measured = {
@@ -484,8 +480,7 @@ def _check_canonical_dual(config: SuiteConfig, trial: int) -> TrialOutcome:
         direct_dist = frame_distance(result.frame, direct)
         ok = (
             result.certificate.is_dual
-            and result.certificate.residual
-            <= config.tol_eq * (1.0 + k_op.uniform_norm())
+            and result.certificate.residual <= slack(config.tol_eq, k_op.uniform_norm())
             and direct_dist <= 1e-9
         )
         measured = {
@@ -505,10 +500,8 @@ def _check_canonical_dual(config: SuiteConfig, trial: int) -> TrialOutcome:
         result = canonical_k_dual(
             inst.frame, inst.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
         )
-        ok = (
-            result.certificate.is_dual
-            and result.certificate.residual
-            <= config.tol_eq * (1.0 + inst.k_op.uniform_norm())
+        ok = result.certificate.is_dual and result.certificate.residual <= slack(
+            config.tol_eq, inst.k_op.uniform_norm()
         )
         measured = {
             "residual": result.certificate.residual,
@@ -674,7 +667,7 @@ def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
         measured["norm_ceiling"] = ceiling
         ok = (
             rep.ok
-            and rep.residual <= config.tol_eq * (1.0 + inst.k_op.uniform_norm())
+            and rep.residual <= slack(config.tol_eq, inst.k_op.uniform_norm())
             and factor_norm_sq <= ceiling * (1.0 + 1e-6) + 1e-8
         )
     else:
@@ -1148,7 +1141,7 @@ def revalidate(
             else:
                 dev = abs(old_f - new_f)
                 deviations[key] = dev
-                reproduced = reproduced and dev <= tol * (1.0 + abs(old_f))
+                reproduced = reproduced and dev <= slack(tol, abs(old_f))
     return {
         "ok": reproduced and not outcome.ok,
         "still_fails": not outcome.ok,

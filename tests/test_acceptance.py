@@ -111,7 +111,7 @@ def test_acceptance_03_square_operator_recovery():
             for member, e_op in zip(frame.members, inst.basis.members):
                 term = member.adjoint().apply(e_op.apply(x))
                 rhs = term if rhs is None else rhs + term
-            deviation = max(deviation, kg.max_vector_seminorm(lhs - rhs))
+            deviation = max(deviation, kg.max_vector_seminorms(lhs - rhs)[0])
         if deviation > 1e-12:
             ok = False
             break

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kgframes as kg
+from kgframes import duality
 from kgframes.generators import (
     clamped_square,
     draw_spec,
@@ -277,3 +278,36 @@ def test_isometry_transform_rejects_non_isometry():
     w = orthonormal_rows_operator(rng, inst.shape, c, c + 2)
     with pytest.raises(kg.IsometryError):
         kg.isometry_left_transform(inst.frame, inst.k_op, w.scale(1.2))
+
+
+def test_a_shared_isometry_is_measured_once(monkeypatch):
+    inst = generate(draw_spec("isometry", 78))
+    rng = np.random.default_rng(79)
+    c = inst.frame.codomain_ranks[0]
+    w = orthonormal_rows_operator(rng, inst.shape, c, c + 1)
+    measured = []
+    norms = duality.spectral_norms
+
+    def counting(mats):
+        measured.append(len(mats))
+        return norms(mats)
+
+    monkeypatch.setattr(duality, "spectral_norms", counting)
+    kg.isometry_left_transform(inst.frame, inst.k_op, w)
+    assert measured == [inst.shape.block_count]
+
+
+def test_a_repeated_isometry_still_fails_first_with_its_message():
+    shape = kg.AlgebraShape((2,))
+    rng = np.random.default_rng(80)
+    good = orthonormal_rows_operator(rng, shape, 1, 2)
+    bad = good.scale(1.5)
+    worse = good.scale(3.0)
+    blk = bad.blocks[0]
+    defect = float(np.linalg.norm(blk @ blk.conj().T - np.eye(2), 2))
+    message = f"composite with the adjoint deviates from the identity by {defect:.3e}"
+    for listed in ([good, bad, bad, worse], [good, bad, worse, bad], [bad, good, bad]):
+        with pytest.raises(kg.IsometryError) as err:
+            duality._require_isometries(listed, 1e-10, adjoint_first=False)
+        assert str(err.value) == message
+    duality._require_isometries([good, good, good], 1e-10, adjoint_first=False)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import kgframes as kg
+from kgframes.algebra import singular_values_each
 from kgframes.generators import clamped_square, random_operator, random_vector
 from helpers import pinned_example, random_element
 
@@ -123,7 +124,19 @@ def svd_calls(monkeypatch):
 def test_an_all_zero_group_makes_no_svd_call(svd_calls):
     zeros = [np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)]
     assert kg.spectral_norms(zeros) == [0.0, 0.0]
+    # nor for its singular values, LAPACK's bitwise, or its ranks
+    stacks = [
+        np.zeros(dims, dtype=dtype)
+        for dims in ((1, 1), (4, 2), (3, 5), (24, 24))
+        for dtype in (complex, float)
+    ]
+    values = singular_values_each(stacks)
+    zero_op = kg.ModuleOperator.zero(kg.AlgebraShape((2, 3)), 2, 1)
+    assert zero_op.rank_profile() == (0, 0)
     assert svd_calls["svd"] == 0
+    for got, mat in zip(values, stacks):
+        assert got.tobytes() == np.linalg.svd(mat, compute_uv=False).tobytes()
+    svd_calls.clear()
     # a group with one nonzero matrix is decomposed whole, zeros included
     norms = kg.spectral_norms([*zeros, np.eye(3, dtype=complex)])
     assert norms == [0.0, 0.0, 1.0]
