@@ -9,9 +9,12 @@ decision keeps a singular value (or eigenvalue) above `rank_cutoff`.  A
 threshold verdict (positivity, the Hermitian test, the leak out of a
 range, a dual, tightness or factor residual) passes when its residual
 is at most `slack(tol, scale) = tol * (1 + scale)`, the scale being the
-norm of the operand the residual is measured against.  The one
-tolerance that is not a parameter is `INCLUSION_TOL`, the floor of the
-K-pencil's range-inclusion test.
+norm of the operand the residual is measured against.  Three decisions
+take their tolerance as a parameter: the rank cutoff (`rel_tol`), the
+order test (`tol_psd`) and operator identities (`tol_eq`).  Every other
+threshold is a module constant, such as `TOL_HERM` for the Hermitian
+test and `INCLUSION_TOL` for the floor of the K-pencil's range-inclusion
+test.
 
 Blocks are small, so a LAPACK call costs more in overhead than in flops.
 The decomposition kernels here take many matrices at once and make one
@@ -185,9 +188,7 @@ class PositivityVerdict:
 
 
 def psd_verdict(
-    blocks: Sequence[np.ndarray],
-    tol_psd: float = TOL_PSD,
-    tol_herm: float = TOL_HERM,
+    blocks: Sequence[np.ndarray], tol_psd: float = TOL_PSD
 ) -> PositivityVerdict:
     """Decide blockwise positive semidefiniteness with relative slack."""
     herm_ok = True
@@ -201,7 +202,7 @@ def psd_verdict(
     for k in range(count):
         norm = norms[k]
         herm_gap = norms[count + k]
-        blk_herm_ok = herm_gap <= slack(tol_herm, norm)
+        blk_herm_ok = herm_gap <= slack(TOL_HERM, norm)
         lam_min = float(spectra[k][0]) if spectra[k].size else 0.0
         margin = lam_min + slack(tol_psd, norm)
         if not blk_herm_ok:
@@ -277,10 +278,8 @@ class AlgebraElement:
     def max_seminorm(self) -> float:
         return max(self.seminorms())
 
-    def is_positive(
-        self, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM
-    ) -> PositivityVerdict:
-        return psd_verdict(self.blocks, tol_psd=tol_psd, tol_herm=tol_herm)
+    def is_positive(self, tol_psd: float = TOL_PSD) -> PositivityVerdict:
+        return psd_verdict(self.blocks, tol_psd=tol_psd)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same_shape(self.shape, other.shape)
@@ -316,22 +315,10 @@ class AlgebraElement:
     def scale(self, c: complex) -> "AlgebraElement":
         return AlgebraElement._fresh(self.shape, [c * b for b in self.blocks])
 
-    def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        _check_same_shape(self.shape, other.shape)
-        return all(
-            np.allclose(a, b, rtol=0.0, atol=tol)
-            for a, b in zip(self.blocks, other.blocks)
-        )
-
     def __repr__(self) -> str:
         return f"AlgebraElement(shape={self.shape.sizes})"
 
 
-def leq(
-    a: AlgebraElement,
-    b: AlgebraElement,
-    tol_psd: float = TOL_PSD,
-    tol_herm: float = TOL_HERM,
-) -> bool:
+def leq(a: AlgebraElement, b: AlgebraElement, tol_psd: float = TOL_PSD) -> bool:
     """Order relation: a <= b iff b - a is positive."""
-    return (b - a).is_positive(tol_psd=tol_psd, tol_herm=tol_herm).is_positive
+    return (b - a).is_positive(tol_psd=tol_psd).is_positive

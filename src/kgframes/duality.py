@@ -35,6 +35,14 @@ from .operators import (
 )
 
 CONDITIONING_RATIO = 1e3
+# largest spectral-norm defect of an isometry or coisometry from the identity
+ISOMETRY_TOL = 1e-10
+# largest commutator norm of a transforming operator with K
+COMMUTATION_TOL = 1e-10
+# largest gap between a transformed frame operator and its sandwich
+SANDWICH_TOL = 1e-10
+# absolute room the transformed bounds get outside their envelope
+ENVELOPE_SLACK = 1e-8
 
 
 def _check_same_index_structure(gamma: GFrame, xi: GFrame) -> None:
@@ -215,7 +223,6 @@ def coisometry_transport(
     xi: GFrame,
     k_op: ModuleOperator,
     w_op: ModuleOperator,
-    tol_iso: float = 1e-10,
     tol_eq: float = TOL_EQ,
 ) -> TransportedDualResult:
     """Conjugate a dual pair by an operator whose composite with its own
@@ -232,7 +239,7 @@ def coisometry_transport(
             f"transport operator domain rank {w_op.domain_rank} "
             f"!= frame domain rank {gamma.domain_rank}"
         )
-    _require_isometries([w_op], tol_iso, adjoint_first=True)
+    _require_isometries([w_op], ISOMETRY_TOL, adjoint_first=True)
     base = verify_k_dual(gamma, xi, k_op, tol_eq=tol_eq)
     if not base.is_dual:
         raise DualityError(
@@ -377,11 +384,8 @@ def transform_by_q(
     gamma: GFrame,
     k_op: ModuleOperator,
     q_op: ModuleOperator,
-    tol_comm: float = 1e-10,
     tol_eq: float = TOL_EQ,
     rel_tol: float = TOL_RANK,
-    sandwich_tol: float = 1e-10,
-    envelope_slack: float = 1e-8,
 ) -> TransformReport:
     """Transform members by pre-composing with the adjoint of q_op.
 
@@ -392,7 +396,7 @@ def transform_by_q(
     _check_square_on_domain(gamma, k_op)
     _check_square_on_domain(gamma, q_op)
     comm = (k_op.then(q_op) - q_op.then(k_op)).uniform_norm()
-    if comm > tol_comm:
+    if comm > COMMUTATION_TOL:
         raise CommutationError(
             f"operators do not commute: commutator norm {comm:.3e}"
         )
@@ -423,13 +427,13 @@ def transform_by_q(
     )
     envelope_upper = upper_d * q_norm**2
     within = (
-        measured_lower >= envelope_lower - envelope_slack
-        and measured_upper <= envelope_upper + envelope_slack
+        measured_lower >= envelope_lower - ENVELOPE_SLACK
+        and measured_upper <= envelope_upper + ENVELOPE_SLACK
     )
     return TransformReport(
         frame=new_frame,
         sandwich_residual=sandwich_residual,
-        sandwich_ok=sandwich_residual <= sandwich_tol,
+        sandwich_ok=sandwich_residual <= SANDWICH_TOL,
         measured_lower=measured_lower,
         measured_upper=measured_upper,
         envelope_lower=envelope_lower,
@@ -455,7 +459,6 @@ def isometry_left_transform(
     gamma: GFrame,
     k_op: ModuleOperator,
     w_ops: ModuleOperator | Sequence[ModuleOperator],
-    tol_iso: float = 1e-10,
     rel_tol: float = TOL_RANK,
 ) -> IsometryTransformReport:
     """Post-compose every member with an isometry (composite with its own
@@ -478,7 +481,7 @@ def isometry_left_transform(
                 f"isometry domain rank {w_op.domain_rank} does not match "
                 f"member codomain rank {mem.codomain_rank}"
             )
-    _require_isometries(w_list, tol_iso, adjoint_first=False)
+    _require_isometries(w_list, ISOMETRY_TOL, adjoint_first=False)
     new_frame = GFrame(
         [mem.then(w_op) for mem, w_op in zip(gamma.members, w_list)]
     )

@@ -148,18 +148,14 @@ def random_operator(
 
 
 def clamped_square(
-    rng: np.random.Generator,
-    shape: AlgebraShape,
-    rank: int,
-    lo: float = 0.5,
-    hi: float = 2.0,
+    rng: np.random.Generator, shape: AlgebraShape, rank: int
 ) -> ModuleOperator:
-    """Square operator with every singular value clamped into [lo, hi]."""
+    """Square operator with every singular value clamped into [0.5, 2]."""
     blocks = []
     for n in shape:
         g = _gaussian_matrix(rng, n * rank, n * rank)
         u, svals, vh = np.linalg.svd(g)
-        blocks.append(u @ np.diag(np.clip(svals, lo, hi)) @ vh)
+        blocks.append(u @ np.diag(np.clip(svals, 0.5, 2.0)) @ vh)
     return ModuleOperator(shape, rank, rank, blocks)
 
 
@@ -222,22 +218,18 @@ def random_vector(
     return ModuleVector(shape, rank, stacks)
 
 
-def polynomial_in(
-    rng: np.random.Generator,
-    k_op: ModuleOperator,
-    degree: int = 3,
-    min_singular: float = 1e-6,
-    max_attempts: int = 64,
-) -> ModuleOperator:
-    """Invertible polynomial of the given operator, norm capped at 2.
+def polynomial_in(rng: np.random.Generator, k_op: ModuleOperator) -> ModuleOperator:
+    """Invertible cubic polynomial of the given operator, norm capped at 2.
 
     Polynomials of one operator commute with it up to rounding, which is
-    what the commuting-transform theorem needs.
+    what the commuting-transform theorem needs.  Up to 64 draws of complex
+    Gaussian coefficients are tried; the first whose smallest singular
+    value exceeds 1e-6 is returned.
     """
     shape = k_op.shape
     rank = k_op.domain_rank
-    for _ in range(max_attempts):
-        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    for _ in range(64):
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         acc = ModuleOperator.zero(shape, rank, rank)
         power = ModuleOperator.identity(shape, rank)
         for c in coeffs:
@@ -246,11 +238,9 @@ def polynomial_in(
         norm = acc.uniform_norm()
         if norm > 2.0:
             acc = acc.scale(2.0 / norm)
-        if acc.smallest_singular_value() > min_singular:
+        if acc.smallest_singular_value() > 1e-6:
             return acc
-    raise InfeasibleSpec(
-        f"no invertible polynomial found in {max_attempts} attempts"
-    )
+    raise InfeasibleSpec("no invertible polynomial found in 64 attempts")
 
 
 def module_projector(shape: AlgebraShape, rank: int, kill_component: int) -> ModuleOperator:

@@ -6,9 +6,9 @@ concatenates the member images at those offsets; its adjoint is the
 synthesis operator; their composite is the frame operator.
 
 A family and its members are immutable, so a family keeps what it was
-measured to be: its analysis and frame operators, its basis validation
-per tolerance, its square operator against each basis and its duality
-residual against each (dual family, K) pair.
+measured to be: its analysis and frame operators, its basis validation,
+its square operator against each basis and its duality residual against
+each (dual family, K) pair.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .modules import ModuleVector, vector_seminorm
 from .operators import ModuleOperator, _hermitize, uniform_norms
 
 BASIS_TOL = 1e-10
+# the frame bounds are tight when their gap is at most this times the upper
+TIGHT_TOL = 1e-8
 
 
 def embed_direction(
@@ -63,7 +65,7 @@ class GFrame:
         "offsets",
         "_analysis",
         "_frame_op",
-        "_basis_reports",
+        "_basis_report",
         "_g_operators",
         "_dual_residuals",
     )
@@ -87,7 +89,7 @@ class GFrame:
         self.offsets = tuple(offsets)
         self._analysis: ModuleOperator | None = None
         self._frame_op: ModuleOperator | None = None
-        self._basis_reports: dict[float, BasisAxiomReport] = {}
+        self._basis_report: BasisAxiomReport | None = None
         # keyed by the basis, and by the (dual family, K) pair, as objects
         self._g_operators: dict[GFrame, ModuleOperator] = {}
         self._dual_residuals: dict[tuple[GFrame, ModuleOperator], float] = {}
@@ -191,7 +193,7 @@ class FrameBounds:
         return self.lower > rank_cutoff(self.upper, rel_tol)
 
 
-def optimal_g_bounds(frame: GFrame, tight_tol: float = 1e-8) -> FrameBounds:
+def optimal_g_bounds(frame: GFrame) -> FrameBounds:
     """Extreme eigenvalues of the frame operator with witness vectors."""
     lower = np.inf
     upper = -np.inf
@@ -212,7 +214,7 @@ def optimal_g_bounds(frame: GFrame, tight_tol: float = 1e-8) -> FrameBounds:
     return FrameBounds(
         lower=lower,
         upper=upper,
-        tight=(upper - lower) <= tight_tol * upper,
+        tight=(upper - lower) <= TIGHT_TOL * upper,
         witness_low=witness_low,
         witness_high=witness_high,
         lower_block=lo_block,
@@ -297,9 +299,7 @@ def _default_probes(shape: AlgebraShape, rank: int) -> list[ModuleVector]:
 
 
 def basis_axiom_report(
-    basis: GFrame,
-    probes: Sequence[ModuleVector] | None = None,
-    tol: float = BASIS_TOL,
+    basis: GFrame, probes: Sequence[ModuleVector] | None = None
 ) -> BasisAxiomReport:
     """Test each orthonormal-basis axiom separately on a candidate family."""
     shape = basis.shape
@@ -335,26 +335,25 @@ def basis_axiom_report(
                 seminorm_violation, abs(total - base) / (1.0 + base)
             )
     return BasisAxiomReport(
-        delta_ok=delta_violation <= tol,
+        delta_ok=delta_violation <= BASIS_TOL,
         delta_violation=delta_violation,
-        parseval_ok=parseval_violation <= tol,
+        parseval_ok=parseval_violation <= BASIS_TOL,
         parseval_violation=parseval_violation,
-        seminorm_additive_ok=seminorm_violation <= tol,
+        seminorm_additive_ok=seminorm_violation <= BASIS_TOL,
         seminorm_violation=seminorm_violation,
         probe_count=len(probes),
     )
 
 
-def validate_basis(basis: GFrame, tol: float = BASIS_TOL) -> BasisAxiomReport:
+def validate_basis(basis: GFrame) -> BasisAxiomReport:
     """Require the two adopted axioms (delta + completeness); report all.
 
-    The report is kept on the immutable family, one per tolerance, so a
-    family is measured once; a family that fails raises on every call.
+    The report is kept on the immutable family, so a family is measured
+    once; a family that fails raises on every call.
     """
-    report = basis._basis_reports.get(tol)
+    report = basis._basis_report
     if report is None:
-        report = basis_axiom_report(basis, probes=(), tol=tol)
-        basis._basis_reports[tol] = report
+        report = basis._basis_report = basis_axiom_report(basis, probes=())
     if not (report.delta_ok and report.parseval_ok):
         raise BasisError(
             "candidate family fails the orthonormal-basis axioms: "

@@ -45,6 +45,11 @@ from .operators import (
     uniform_norms,
 )
 
+# largest gap of a resolution's member sum from the identity
+RESOLUTION_SUM_TOL = 1e-10
+# largest deviation a re-evaluated counterexample may show from its record
+REEVALUATION_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class CounterexampleCertificate:
@@ -383,8 +388,6 @@ class ResolutionReport:
 def resolution_check(
     psi: GFrame,
     k_op: ModuleOperator,
-    sum_tol: float = 1e-10,
-    reeval_tol: float = 1e-10,
     rel_tol: float = TOL_RANK,
 ) -> ResolutionReport:
     """Gate on the identity sum, then audit the frame conclusion."""
@@ -397,7 +400,7 @@ def resolution_check(
     for mem in psi.members[1:]:
         total = total + mem
     sum_residual = (total - ident).uniform_norm()
-    if sum_residual > sum_tol:
+    if sum_residual > RESOLUTION_SUM_TOL:
         return ResolutionReport(
             sums_to_identity=False,
             sum_residual=sum_residual,
@@ -424,8 +427,8 @@ def resolution_check(
     if kg.counterexample is not None:
         reeval = reevaluate_counterexample(psi, k_op, kg.counterexample)
         consistent = (
-            reeval["lhs_deviation"] <= reeval_tol
-            and reeval["rhs_deviation"] <= reeval_tol
+            reeval["lhs_deviation"] <= REEVALUATION_TOL
+            and reeval["rhs_deviation"] <= REEVALUATION_TOL
             and reeval["margin"] > 0
         )
     return ResolutionReport(

@@ -33,7 +33,6 @@ import numpy as np
 from .algebra import (
     INCLUSION_TOL,
     TOL_PSD,
-    TOL_HERM,
     TOL_RANK,
     AlgebraElement,
     AlgebraShape,
@@ -373,20 +372,11 @@ class ModuleOperator:
             self.shape, self.domain_rank, self.codomain_rank, blocks
         )
 
-    def positivity(
-        self, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM
-    ) -> PositivityVerdict:
+    def positivity(self, tol_psd: float = TOL_PSD) -> PositivityVerdict:
         """Positivity as an operator: every realization block PSD."""
         if self.domain_rank != self.codomain_rank:
             raise ShapeMismatch("positivity needs a square operator")
-        return psd_verdict(self.blocks, tol_psd=tol_psd, tol_herm=tol_herm)
-
-    def allclose(self, other: "ModuleOperator", tol: float = 1e-12) -> bool:
-        self._check_same_dims(other)
-        return all(
-            np.allclose(a, b, rtol=0.0, atol=tol)
-            for a, b in zip(self.blocks, other.blocks)
-        )
+        return psd_verdict(self.blocks, tol_psd=tol_psd)
 
     def __repr__(self) -> str:
         return (

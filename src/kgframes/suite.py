@@ -668,7 +668,7 @@ def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
         ok = (
             rep.ok
             and rep.residual <= slack(config.tol_eq, inst.k_op.uniform_norm())
-            and factor_norm_sq <= ceiling * (1.0 + 1e-6) + 1e-8
+            and factor_norm_sq - ceiling <= slack(1e-8, ceiling)
         )
     else:
         diag = rep.diagnostics
@@ -1113,9 +1113,7 @@ def run_theorem_suite(config: SuiteConfig) -> SuiteResult:
     return SuiteResult(config=config, reports=tuple(reports))
 
 
-def revalidate(
-    record: FailureRecord, config: SuiteConfig, tol: float = REVALIDATION_TOL
-) -> dict:
+def revalidate(record: FailureRecord, config: SuiteConfig) -> dict:
     """Re-run a failed trial and compare every measured value.
 
     Returns reproduction deviations; `ok` means every recorded number was
@@ -1141,7 +1139,7 @@ def revalidate(
             else:
                 dev = abs(old_f - new_f)
                 deviations[key] = dev
-                reproduced = reproduced and dev <= slack(tol, abs(old_f))
+                reproduced = reproduced and dev <= slack(REVALIDATION_TOL, abs(old_f))
     return {
         "ok": reproduced and not outcome.ok,
         "still_fails": not outcome.ok,

@@ -157,13 +157,11 @@ def test_hermitian_element_self_adjoint():
         assert np.allclose(h.block(k), h.block(k).conj().T, atol=0)
 
 
-def test_allclose_and_mixed_shape_rejection():
+def test_mixed_shape_rejection():
     rng = np.random.default_rng(8)
     shape = kg.AlgebraShape((2,))
     other = kg.AlgebraShape((3,))
     a = random_element(rng, shape)
-    assert a.allclose(a)
-    assert not a.allclose(a + kg.AlgebraElement.identity(shape))
     b = random_element(rng, other)
     with pytest.raises(kg.ShapeMismatch):
         a + b  # noqa: B018 - the addition itself must raise
