@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .errors import CommutationError, DualityError, IsometryError, ShapeMismatch
 from .gframes import GFrame, _check_square_on_domain, g_operator, optimal_g_bounds
-from .kganalysis import KGFrameReport, is_kg_frame, optimal_kg_lower_bound
+from .kganalysis import KGFrameReport, is_kg_frame
 from .operators import (
     TOL_EQ,
     ModuleOperator,
@@ -196,11 +196,11 @@ class TransportedDualResult:
 
 
 def _require_isometries(
-    w_ops: Sequence[ModuleOperator], tol_iso: float, adjoint_first: bool
+    w_ops: Sequence[ModuleOperator], adjoint_first: bool
 ) -> None:
     """Raise IsometryError at the first operator whose composite with its
     own adjoint (adjoint applied first or second) deviates from the
-    identity by more than tol_iso; one kernel call for every block.  An
+    identity by more than ISOMETRY_TOL; one kernel call for every block.  An
     operator listed more than once is measured once."""
     w_ops = list({id(w_op): w_op for w_op in w_ops}.values())
     grams = [
@@ -212,7 +212,7 @@ def _require_isometries(
     per_op = w_ops[0].shape.block_count
     for start in range(0, len(gaps), per_op):
         defect = max(gaps[start : start + per_op])
-        if defect > tol_iso:
+        if defect > ISOMETRY_TOL:
             raise IsometryError(
                 f"composite with the adjoint deviates from the identity by {defect:.3e}"
             )
@@ -239,7 +239,7 @@ def coisometry_transport(
             f"transport operator domain rank {w_op.domain_rank} "
             f"!= frame domain rank {gamma.domain_rank}"
         )
-    _require_isometries([w_op], ISOMETRY_TOL, adjoint_first=True)
+    _require_isometries([w_op], adjoint_first=True)
     base = verify_k_dual(gamma, xi, k_op, tol_eq=tol_eq)
     if not base.is_dual:
         raise DualityError(
@@ -406,7 +406,7 @@ def transform_by_q(
     s_old = gamma.frame_operator()
     sandwich = adj.then(s_old).then(q_op)
 
-    lower_c = optimal_kg_lower_bound(gamma, k_op, rel_tol=rel_tol)
+    lower_c = is_kg_frame(gamma, k_op, rel_tol=rel_tol).lower_c
     upper_d = optimal_g_bounds(gamma).upper
     proj = q_op.range_projection(rel_tol=rel_tol)
     s_comp = [
@@ -481,12 +481,12 @@ def isometry_left_transform(
                 f"isometry domain rank {w_op.domain_rank} does not match "
                 f"member codomain rank {mem.codomain_rank}"
             )
-    _require_isometries(w_list, ISOMETRY_TOL, adjoint_first=False)
+    _require_isometries(w_list, adjoint_first=False)
     new_frame = GFrame(
         [mem.then(w_op) for mem, w_op in zip(gamma.members, w_list)]
     )
-    lower_before = optimal_kg_lower_bound(gamma, k_op, rel_tol=rel_tol)
-    lower_after = optimal_kg_lower_bound(new_frame, k_op, rel_tol=rel_tol)
+    lower_before = is_kg_frame(gamma, k_op, rel_tol=rel_tol).lower_c
+    lower_after = is_kg_frame(new_frame, k_op, rel_tol=rel_tol).lower_c
     upper_before = optimal_g_bounds(gamma).upper
     upper_after = optimal_g_bounds(new_frame).upper
     if np.isinf(lower_before) and np.isinf(lower_after):

@@ -121,28 +121,13 @@ def reevaluate_counterexample(
 
 @dataclass(frozen=True, eq=False)
 class KGFrameReport:
-    """Verdict and optimal constants of the K-weighted frame inequality."""
+    """Verdict and optimal lower constant of the K-weighted frame inequality."""
 
     is_k_g_frame: bool
     lower_c: float
-    upper_d: float
     degenerate_zero_k: bool
     pencil: PencilResult
     counterexample: CounterexampleCertificate | None
-
-
-def optimal_kg_lower_bound(
-    frame: GFrame, k_op: ModuleOperator, rel_tol: float = TOL_RANK
-) -> float:
-    """Largest C with C times the absolute square of K below the frame
-    operator; 0 when no positive C exists, +inf when K vanishes."""
-    _check_square_on_domain(frame, k_op)
-    pencil = pencil_over_spectrum(
-        _absolute_square_blocks(k_op),
-        frame.frame_operator().hermitian_spectrum(),
-        rel_tol,
-    )
-    return pencil.lower_scale
 
 
 def is_kg_frame(
@@ -164,7 +149,6 @@ def is_kg_frame(
     m_blocks = _absolute_square_blocks(k_op)
     pencil = pencil_over_spectrum(m_blocks, s_op.hermitian_spectrum(), rel_tol)
     scale = pencil.lower_scale
-    upper = optimal_g_bounds(frame).upper
     degenerate = not any(b.any() for b in k_op.blocks)
     verdict = (pencil.included and scale > 0.0) or degenerate
     counterexample = None
@@ -187,13 +171,14 @@ def is_kg_frame(
                 frame, k_op, best_block, best_vec
             )
         elif pencil.direction is not None:
+            # included, yet the quotient overflowed to inf, so the scale
+            # 1/quotient is 0: the pencil's own direction is the witness
             counterexample = _certificate_from_direction(
                 frame, k_op, pencil.block, pencil.direction
             )
     return KGFrameReport(
         is_k_g_frame=verdict,
         lower_c=scale,
-        upper_d=upper,
         degenerate_zero_k=degenerate,
         pencil=pencil,
         counterexample=counterexample,

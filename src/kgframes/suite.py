@@ -2,8 +2,9 @@
 
 Every registered check states one verifiable property of the library's
 constructions and decides it on freshly generated instances.  A check is
-a pure function of (config, trial): the instance seeds are derived by
-hashing, so any failure can be regenerated and re-measured bit for bit.
+a pure function of its `Trial` (config, check id, trial index): every
+seed it draws from comes from `Trial.seed`, the suite's one seed rule, so
+any failure can be regenerated and re-measured bit for bit.
 
 One check (``identity_resolution``) is an audit rather than an
 assertion: its conclusion is expected but not forced, and a disproving
@@ -156,30 +157,60 @@ def _outcome(
     )
 
 
-def _rng_for(config: SuiteConfig, check_id: str, trial: int, tag: str):
-    return np.random.Generator(
-        np.random.PCG64(sub_seed(config.seed, f"{check_id}#{tag}", trial))
-    )
+@dataclass(frozen=True)
+class Trial:
+    """One trial of one check; every draw it makes is seeded through `seed`.
+
+    `seed` is the suite's one seed rule: the first 8 bytes (big-endian)
+    of the sha256 of "{seed}:{check_id}[#tag]:{trial}".  The decision
+    inputs are read from the config.
+    """
+
+    config: SuiteConfig
+    check_id: str
+    index: int
+
+    @property
+    def tol_eq(self) -> float:
+        return self.config.tol_eq
+
+    @property
+    def tol_psd(self) -> float:
+        return self.config.tol_psd
+
+    @property
+    def rel_tol(self) -> float:
+        return self.config.rel_tol
+
+    def seed(self, tag: str | None = None) -> int:
+        name = self.check_id if tag is None else f"{self.check_id}#{tag}"
+        return sub_seed(self.config.seed, name, self.index)
+
+    def rng(self, tag: str) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed(tag)))
+
+    def make(self, kind: str, **draw_kwargs) -> Instance:
+        return self.generate(
+            draw_spec(kind, self.seed(), self.config.caps, **draw_kwargs)
+        )
+
+    def generate(self, spec: GenSpec) -> Instance:
+        """The instance of `spec`, after the config's fault injection."""
+        inst = generate(spec, self.config.caps)
+        if self.config.fault_injection is not None:
+            injected = self.config.fault_injection(self.check_id, self.index, inst)
+            if injected is not None:
+                inst = injected
+        return inst
 
 
-def _make(
-    config: SuiteConfig, check_id: str, trial: int, kind: str, **draw_kwargs
-) -> Instance:
-    spec = draw_spec(
-        kind, sub_seed(config.seed, check_id, trial), config.caps, **draw_kwargs
-    )
-    return _generate(config, check_id, trial, spec)
-
-
-def _generate(
-    config: SuiteConfig, check_id: str, trial: int, spec: GenSpec
-) -> Instance:
-    inst = generate(spec, config.caps)
-    if config.fault_injection is not None:
-        injected = config.fault_injection(check_id, trial, inst)
-        if injected is not None:
-            inst = injected
-    return inst
+def _raises(error: type[Exception], fn: Callable, *args, **kwargs) -> bool:
+    """Whether fn(*args, **kwargs) raises `error`."""
+    try:
+        fn(*args, **kwargs)
+    except error:
+        return True
+    return False
 
 
 def _abs_square(op: ModuleOperator) -> ModuleOperator:
@@ -206,8 +237,8 @@ def _order_probe(
 # -- checks ---------------------------------------------------------------
 
 
-def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "synthesis_bound", trial, "generic")
+def _check_synthesis_bound(t: Trial) -> TrialOutcome:
+    inst = t.make("generic")
     frame = inst.frame
     ana = frame.analysis_operator()
     syn = frame.synthesis_operator()
@@ -216,7 +247,7 @@ def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
     upper = optimal_g_bounds(frame).upper
     bessel_dev = abs(syn_norm**2 - upper)
-    rng = _rng_for(config, "synthesis_bound", trial, "probe")
+    rng = t.rng("probe")
     g_vecs = [
         random_vector(rng, inst.shape, frame.total_codomain_rank) for _ in range(3)
     ]
@@ -227,7 +258,7 @@ def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
     ok = (
         adjoint_res <= slack(1e-12, syn_norm)
         and s_res <= slack(1e-10, upper)
-        and bessel_dev <= slack(config.tol_eq, upper)
+        and bessel_dev <= slack(t.tol_eq, upper)
         and bound_margin <= slack(1e-9, syn_norm)
     )
     measured = {
@@ -239,38 +270,30 @@ def _check_synthesis_bound(config: SuiteConfig, trial: int) -> TrialOutcome:
     return _outcome(ok, measured, "synthesis operator identities violated", inst)
 
 
-def _psd_agreement(frame: GFrame, k_op: ModuleOperator, config: SuiteConfig) -> dict:
-    rep = is_kg_frame(frame, k_op, rel_tol=config.rel_tol)
+def _psd_agreement(frame: GFrame, k_op: ModuleOperator, t: Trial) -> dict:
+    rep = is_kg_frame(frame, k_op, rel_tol=t.rel_tol)
     abs_sq = _abs_square(k_op)
     s_op = frame.frame_operator()
     out = {"verdict": rep.is_k_g_frame, "lower_c": rep.lower_c, "ok": True}
     if rep.is_k_g_frame and np.isfinite(rep.lower_c) and rep.lower_c > 0:
         out["ok"], out["min_eig_at_optimum"], above = _order_probe(
-            s_op, abs_sq, rep.lower_c, config.tol_psd
+            s_op, abs_sq, rep.lower_c, t.tol_psd
         )
         if above is not None:
             out["min_eig_above_optimum"] = above
     elif not rep.is_k_g_frame:
         probe = slack(1e-3, s_op.uniform_norm()) / (1.0 + abs_sq.uniform_norm())
-        verdict_probe = (s_op - abs_sq.scale(probe)).positivity(
-            tol_psd=config.tol_psd
-        )
+        verdict_probe = (s_op - abs_sq.scale(probe)).positivity(tol_psd=t.tol_psd)
         out["min_eig_at_probe"] = verdict_probe.min_eigenvalue
         out["ok"] = not verdict_probe.is_positive
     return out
 
 
-def _check_psd_frame_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst_a = _make(config, "psd_frame_criterion", trial, "generic", rich=True)
-    inst_b = _make(
-        config,
-        "psd_frame_criterion",
-        trial,
-        "rank_deficient_K",
-        k_inside=(trial % 2 == 0),
-    )
-    part_a = _psd_agreement(inst_a.frame, inst_a.k_op, config)
-    part_b = _psd_agreement(inst_b.frame, inst_b.k_op, config)
+def _check_psd_frame_criterion(t: Trial) -> TrialOutcome:
+    inst_a = t.make("generic", rich=True)
+    inst_b = t.make("rank_deficient_K", k_inside=(t.index % 2 == 0))
+    part_a = _psd_agreement(inst_a.frame, inst_a.k_op, t)
+    part_b = _psd_agreement(inst_b.frame, inst_b.k_op, t)
     ok = part_a["ok"] and part_b["ok"]
     measured = {
         "generic_lower_c": part_a["lower_c"],
@@ -292,20 +315,20 @@ def _check_psd_frame_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_completeness_span(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "completeness_span", trial, "generic")
+def _check_completeness_span(t: Trial) -> TrialOutcome:
+    inst = t.make("generic")
     frame = inst.frame
-    complete = is_g_complete(frame, rel_tol=config.rel_tol)
+    complete = is_g_complete(frame, rel_tol=t.rel_tol)
     bounds = optimal_g_bounds(frame)
-    framey = bounds.is_frame(config.rel_tol)
+    framey = bounds.is_frame(t.rel_tol)
     proj = module_projector(inst.shape, frame.domain_rank, 0)
     killed = GFrame([proj.then(mem) for mem in frame.members])
-    killed_complete = is_g_complete(killed, rel_tol=config.rel_tol)
+    killed_complete = is_g_complete(killed, rel_tol=t.rel_tol)
     killed_bounds = optimal_g_bounds(killed)
     ok = (
         complete == framey
         and not killed_complete
-        and not killed_bounds.is_frame(config.rel_tol)
+        and not killed_bounds.is_frame(t.rel_tol)
     )
     measured = {
         "complete": complete,
@@ -316,9 +339,9 @@ def _check_completeness_span(config: SuiteConfig, trial: int) -> TrialOutcome:
     return _outcome(ok, measured, "completeness and frame verdicts disagree", inst)
 
 
-def _check_g_operator_roundtrip(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "g_operator_roundtrip", trial, "generic", basis_compatible=True)
-    rng = _rng_for(config, "g_operator_roundtrip", trial, "square")
+def _check_g_operator_roundtrip(t: Trial) -> TrialOutcome:
+    inst = t.make("generic", basis_compatible=True)
+    rng = t.rng("square")
     q0 = clamped_square(rng, inst.shape, inst.spec.module_rank)
     frame = reconstruct_from_g_operator(q0, inst.basis)
     q_back = g_operator(frame, inst.basis)
@@ -362,12 +385,12 @@ _RANGE_VARIANTS = (
 )
 
 
-def _check_range_inclusion(config: SuiteConfig, trial: int) -> TrialOutcome:
-    kind, kwargs = _RANGE_VARIANTS[trial % 3]
-    inst = _make(config, "range_inclusion_criterion", trial, kind, **kwargs)
-    rep = is_kg_frame(inst.frame, inst.k_op, rel_tol=config.rel_tol)
+def _check_range_inclusion(t: Trial) -> TrialOutcome:
+    kind, kwargs = _RANGE_VARIANTS[t.index % 3]
+    inst = t.make(kind, **kwargs)
+    rep = is_kg_frame(inst.frame, inst.k_op, rel_tol=t.rel_tol)
     via_range = kg_via_range(
-        inst.frame, inst.k_op, inst.basis, tol_eq=config.tol_eq, rel_tol=config.rel_tol
+        inst.frame, inst.k_op, inst.basis, tol_eq=t.tol_eq, rel_tol=t.rel_tol
     )
     ok = rep.is_k_g_frame == via_range
     measured = {
@@ -379,34 +402,32 @@ def _check_range_inclusion(config: SuiteConfig, trial: int) -> TrialOutcome:
 
 
 def _parseval_signature(
-    base: GFrame, k_op: ModuleOperator, config: SuiteConfig
+    base: GFrame, k_op: ModuleOperator, t: Trial
 ) -> tuple[bool, float, float]:
     """Tightness verdict and scale of {member after adjoint(K)} against K."""
     weighted = GFrame([k_op.adjoint().then(mem) for mem in base.members])
-    tight, scale, residual = tightness_scale(weighted, k_op, tol_eq=config.tol_eq)
+    tight, scale, residual = tightness_scale(weighted, k_op, tol_eq=t.tol_eq)
     parseval = tight and abs(scale - 1.0) <= 1e-8
     return parseval, scale, residual
 
 
-def _check_coisometric_parseval(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(
-        config, "coisometric_parseval", trial, "coisometry", basis_compatible=True
-    )
+def _check_coisometric_parseval(t: Trial) -> TrialOutcome:
+    inst = t.make("coisometry", basis_compatible=True)
     q_uni = inst.extras["q_unitary"]
     k_op = inst.k_op
     ident = ModuleOperator.identity(inst.shape, inst.spec.module_rank)
 
     frame_pos = reconstruct_from_g_operator(q_uni, inst.basis)
-    parseval_pos, scale_pos, residual_pos = _parseval_signature(frame_pos, k_op, config)
+    parseval_pos, scale_pos, residual_pos = _parseval_signature(frame_pos, k_op, t)
 
     q_scaled = q_uni.scale(1.3)
     frame_scaled = reconstruct_from_g_operator(q_scaled, inst.basis)
-    parseval_scaled, scale_scaled, _ = _parseval_signature(frame_scaled, k_op, config)
+    parseval_scaled, scale_scaled, _ = _parseval_signature(frame_scaled, k_op, t)
 
-    rng = _rng_for(config, "coisometric_parseval", trial, "skew")
+    rng = t.rng("skew")
     q_generic = clamped_square(rng, inst.shape, inst.spec.module_rank)
     frame_generic = reconstruct_from_g_operator(q_generic, inst.basis)
-    parseval_generic, _, _ = _parseval_signature(frame_generic, k_op, config)
+    parseval_generic, _, _ = _parseval_signature(frame_generic, k_op, t)
     # distance of each Q* Q from the identity, from one kernel call
     defect_pos, defect_scaled, defect_generic = uniform_norms(
         *(q.adjoint().then(q) - ident for q in (q_uni, q_scaled, q_generic))
@@ -433,20 +454,20 @@ def _check_coisometric_parseval(config: SuiteConfig, trial: int) -> TrialOutcome
     )
 
 
-def _check_dual_product(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "dual_product_criterion", trial, "generic", basis_compatible=True)
-    rng = _rng_for(config, "dual_product_criterion", trial, "pair")
+def _check_dual_product(t: Trial) -> TrialOutcome:
+    inst = t.make("generic", basis_compatible=True)
+    rng = t.rng("pair")
     d = inst.spec.module_rank
     q0 = clamped_square(rng, inst.shape, d)
     p0 = clamped_square(rng, inst.shape, d)
     gamma = reconstruct_from_g_operator(q0, inst.basis)
     xi = reconstruct_from_g_operator(p0, inst.basis)
     k_op = p0.adjoint().then(q0)
-    cert = verify_k_dual(gamma, xi, k_op, tol_eq=config.tol_eq)
-    via = dual_via_g_operators(gamma, xi, inst.basis, k_op, tol_eq=config.tol_eq)
+    cert = verify_k_dual(gamma, xi, k_op, tol_eq=t.tol_eq)
+    via = dual_via_g_operators(gamma, xi, inst.basis, k_op, tol_eq=t.tol_eq)
     k_bad = k_op.scale(1.01)
-    cert_bad = verify_k_dual(gamma, xi, k_bad, tol_eq=config.tol_eq)
-    via_bad = dual_via_g_operators(gamma, xi, inst.basis, k_bad, tol_eq=config.tol_eq)
+    cert_bad = verify_k_dual(gamma, xi, k_bad, tol_eq=t.tol_eq)
+    via_bad = dual_via_g_operators(gamma, xi, inst.basis, k_bad, tol_eq=t.tol_eq)
     ok = (
         cert.is_dual
         and via
@@ -464,23 +485,21 @@ def _check_dual_product(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_canonical_dual(config: SuiteConfig, trial: int) -> TrialOutcome:
-    if trial % 2 == 0:
-        inst = _make(
-            config, "canonical_dual_residual", trial, "generic", basis_compatible=True
-        )
-        rng = _rng_for(config, "canonical_dual_residual", trial, "square")
+def _check_canonical_dual(t: Trial) -> TrialOutcome:
+    if t.index % 2 == 0:
+        inst = t.make("generic", basis_compatible=True)
+        rng = t.rng("square")
         q0 = clamped_square(rng, inst.shape, inst.spec.module_rank)
         frame = reconstruct_from_g_operator(q0, inst.basis)
         k_op = inst.k_op
-        result = canonical_k_dual(frame, k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol)
-        s_inv = frame.frame_operator().inverse(rel_tol=config.rel_tol)
+        result = canonical_k_dual(frame, k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol)
+        s_inv = frame.frame_operator().inverse(rel_tol=t.rel_tol)
         prefix = k_op.then(s_inv)
         direct = GFrame([prefix.then(mem) for mem in frame.members])
         direct_dist = frame_distance(result.frame, direct)
         ok = (
             result.certificate.is_dual
-            and result.certificate.residual <= slack(config.tol_eq, k_op.uniform_norm())
+            and result.certificate.residual <= slack(t.tol_eq, k_op.uniform_norm())
             and direct_dist <= 1e-9
         )
         measured = {
@@ -489,19 +508,12 @@ def _check_canonical_dual(config: SuiteConfig, trial: int) -> TrialOutcome:
             "retained_ratio": result.smallest_retained_ratio,
         }
     else:
-        inst = _make(
-            config,
-            "canonical_dual_residual",
-            trial,
-            "rank_deficient_K",
-            k_inside=True,
-            rich=True,
-        )
+        inst = t.make("rank_deficient_K", k_inside=True, rich=True)
         result = canonical_k_dual(
-            inst.frame, inst.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
+            inst.frame, inst.k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol
         )
         ok = result.certificate.is_dual and result.certificate.residual <= slack(
-            config.tol_eq, inst.k_op.uniform_norm()
+            t.tol_eq, inst.k_op.uniform_norm()
         )
         measured = {
             "residual": result.certificate.residual,
@@ -535,31 +547,20 @@ def _orthogonal_complement_square(
     return ModuleOperator(q_op.shape, q_op.domain_rank, q_op.codomain_rank, blocks)
 
 
-def _check_zero_overlap(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(
-        config,
-        "zero_overlap",
-        trial,
-        "rank_deficient_K",
-        basis_compatible=True,
-        k_inside=True,
-    )
+def _check_zero_overlap(t: Trial) -> TrialOutcome:
+    inst = t.make("rank_deficient_K", basis_compatible=True, k_inside=True)
     frame, k_op, basis = inst.frame, inst.k_op, inst.basis
-    v_dual = canonical_k_dual(
-        frame, k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
-    ).frame
+    v_dual = canonical_k_dual(frame, k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol).frame
     q_op = g_operator(frame, basis)
-    rng = _rng_for(config, "zero_overlap", trial, "complement")
-    p_op = _orthogonal_complement_square(q_op, rng, config.rel_tol)
+    rng = t.rng("complement")
+    p_op = _orthogonal_complement_square(q_op, rng, t.rel_tol)
     xi = reconstruct_from_g_operator(p_op, basis)
-    rep_pos = zero_overlap_perturbation(
-        frame, v_dual, xi, basis, k_op, tol_eq=config.tol_eq
-    )
+    rep_pos = zero_overlap_perturbation(frame, v_dual, xi, basis, k_op, tol_eq=t.tol_eq)
     xi_bad = GFrame(
         [x_mem + f_mem for x_mem, f_mem in zip(xi.members, frame.members)]
     )
     rep_neg = zero_overlap_perturbation(
-        frame, v_dual, xi_bad, basis, k_op, tol_eq=config.tol_eq
+        frame, v_dual, xi_bad, basis, k_op, tol_eq=t.tol_eq
     )
     ok = (
         rep_pos.predicate
@@ -580,25 +581,23 @@ def _check_zero_overlap(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_dual_combination(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "dual_combination", trial, "generic", basis_compatible=True)
-    rng = _rng_for(config, "dual_combination", trial, "weights")
+def _check_dual_combination(t: Trial) -> TrialOutcome:
+    inst = t.make("generic", basis_compatible=True)
+    rng = t.rng("weights")
     d = inst.spec.module_rank
     q0 = clamped_square(rng, inst.shape, d)
     frame = reconstruct_from_g_operator(q0, inst.basis)
     k_op = inst.k_op
-    xi = canonical_k_dual(
-        frame, k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
-    ).frame
+    xi = canonical_k_dual(frame, k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol).frame
     ident = ModuleOperator.identity(inst.shape, d)
     half = ident.scale(0.5)
-    mid = combine_duals(frame, xi, xi, k_op, half, half, tol_eq=config.tol_eq)
+    mid = combine_duals(frame, xi, xi, k_op, half, half, tol_eq=t.tol_eq)
     t1 = clamped_square(rng, inst.shape, d).scale(0.5)
     t2 = ident - t1
-    rand = combine_duals(frame, xi, xi, k_op, t1, t2, tol_eq=config.tol_eq)
+    rand = combine_duals(frame, xi, xi, k_op, t1, t2, tol_eq=t.tol_eq)
     gap_dir = clamped_square(rng, inst.shape, d)
     t2_bad = t2 + gap_dir.scale(1e-3)
-    bad = combine_duals(frame, xi, xi, k_op, t1, t2_bad, tol_eq=config.tol_eq)
+    bad = combine_duals(frame, xi, xi, k_op, t1, t2_bad, tol_eq=t.tol_eq)
     ok = (
         mid.certificate.is_dual
         and rand.certificate.is_dual
@@ -615,15 +614,15 @@ def _check_dual_combination(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_order_chain(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "operator_order_chain", trial, "generic", rich=True)
+def _check_order_chain(t: Trial) -> TrialOutcome:
+    inst = t.make("generic", rich=True)
     frame, k_op = inst.frame, inst.k_op
-    rep = is_kg_frame(frame, k_op, rel_tol=config.rel_tol)
+    rep = is_kg_frame(frame, k_op, rel_tol=t.rel_tol)
     bounds = optimal_g_bounds(frame)
     s_op = frame.frame_operator()
     abs_sq = _abs_square(k_op)
     ident = ModuleOperator.identity(inst.shape, frame.domain_rank)
-    tol_psd = config.tol_psd
+    tol_psd = t.tol_psd
     ok = True
     measured = {"lower_c": rep.lower_c, "upper_d": bounds.upper}
     if rep.is_k_g_frame and np.isfinite(rep.lower_c) and rep.lower_c > 0:
@@ -651,12 +650,10 @@ _SQRT_VARIANTS = (
 )
 
 
-def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
-    kind, kwargs = _SQRT_VARIANTS[trial % 3]
-    inst = _make(config, "sqrt_factor", trial, kind, **kwargs)
-    rep = sqrt_factor_check(
-        inst.frame, inst.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
-    )
+def _check_sqrt_factor(t: Trial) -> TrialOutcome:
+    kind, kwargs = _SQRT_VARIANTS[t.index % 3]
+    inst = t.make(kind, **kwargs)
+    rep = sqrt_factor_check(inst.frame, inst.k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol)
     measured = {"residual": rep.residual, "verdict": rep.kg_report.is_k_g_frame}
     if rep.kg_report.is_k_g_frame:
         factor_norm_sq = rep.factor.uniform_norm() ** 2
@@ -667,7 +664,7 @@ def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
         measured["norm_ceiling"] = ceiling
         ok = (
             rep.ok
-            and rep.residual <= slack(config.tol_eq, inst.k_op.uniform_norm())
+            and rep.residual <= slack(t.tol_eq, inst.k_op.uniform_norm())
             and factor_norm_sq - ceiling <= slack(1e-8, ceiling)
         )
     else:
@@ -684,27 +681,26 @@ def _check_sqrt_factor(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_commuting_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "commuting_transform", trial, "commuting_pair", rich=True)
+def _check_commuting_transform(t: Trial) -> TrialOutcome:
+    inst = t.make("commuting_pair", rich=True)
     q_op = inst.extras["q"]
     rep = transform_by_q(
         inst.frame,
         inst.k_op,
         q_op,
-        tol_eq=config.tol_eq,
-        rel_tol=config.rel_tol,
+        tol_eq=t.tol_eq,
+        rel_tol=t.rel_tol,
     )
-    rng = _rng_for(config, "commuting_transform", trial, "noncommuting")
+    rng = t.rng("noncommuting")
     stray = clamped_square(rng, inst.shape, inst.spec.module_rank)
     commutator = (
         inst.k_op.then(stray) - stray.then(inst.k_op)
     ).uniform_norm()
-    rejected = False
     if commutator > 1e-6:
-        try:
-            transform_by_q(inst.frame, inst.k_op, stray, tol_eq=config.tol_eq)
-        except CommutationError:
-            rejected = True
+        rejected = _raises(
+            CommutationError, transform_by_q,
+            inst.frame, inst.k_op, stray, tol_eq=t.tol_eq, rel_tol=t.rel_tol,
+        )
     else:  # freak commuting draw: nothing to reject
         rejected = True
     ok = rep.sandwich_ok and rep.within_envelope and rejected
@@ -721,26 +717,23 @@ def _check_commuting_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_isometry_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "isometry_transform", trial, "isometry")
+def _check_isometry_transform(t: Trial) -> TrialOutcome:
+    inst = t.make("isometry")
     w_op = inst.extras["w"]
-    rep_shared = isometry_left_transform(
-        inst.frame, inst.k_op, w_op, rel_tol=config.rel_tol
-    )
-    rng = _rng_for(config, "isometry_transform", trial, "per_member")
+    rep_shared = isometry_left_transform(inst.frame, inst.k_op, w_op, rel_tol=t.rel_tol)
+    rng = t.rng("per_member")
     c = inst.spec.codomain_ranks[0]
     per_member = [
         orthonormal_rows_operator(rng, inst.shape, c, c + 2)
         for _ in inst.frame.members
     ]
     rep_list = isometry_left_transform(
-        inst.frame, inst.k_op, per_member, rel_tol=config.rel_tol
+        inst.frame, inst.k_op, per_member, rel_tol=t.rel_tol
     )
-    rejected = False
-    try:
-        isometry_left_transform(inst.frame, inst.k_op, w_op.scale(1.2))
-    except IsometryError:
-        rejected = True
+    rejected = _raises(
+        IsometryError, isometry_left_transform,
+        inst.frame, inst.k_op, w_op.scale(1.2), rel_tol=t.rel_tol,
+    )
     ok = (
         rep_shared.max_bound_deviation <= 1e-8
         and rep_list.max_bound_deviation <= 1e-8
@@ -758,7 +751,7 @@ def _check_isometry_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
 _REDRAWS = 8
 
 
-def _non_tight_spec(config: SuiteConfig, trial: int) -> GenSpec | None:
+def _non_tight_spec(t: Trial) -> GenSpec | None:
     """Spec of tightness_scaling's generic negative instance.
 
     A realization of total dimension one makes every complete frame
@@ -766,13 +759,13 @@ def _non_tight_spec(config: SuiteConfig, trial: int) -> GenSpec | None:
     _REDRAWS of them the last draw is widened to dimension two.  None
     when the caps admit dimension one only.
     """
-    caps = config.caps
+    caps = t.config.caps
     rank_cap = min(caps.max_module_rank, caps.max_members * caps.max_codomain_rank)
     if max(caps.max_blocks, caps.max_block_dim, rank_cap) == 1:
         return None
     for redraw in range(_REDRAWS + 1):
-        tag = "tightness_scaling" + (f"#redraw{redraw}" if redraw else "")
-        spec = draw_spec("generic", sub_seed(config.seed, tag, trial), caps, rich=True)
+        tag = f"redraw{redraw}" if redraw else None
+        spec = draw_spec("generic", t.seed(tag), caps, rich=True)
         if sum(spec.block_sizes) * spec.module_rank > 1:
             return spec
     if caps.max_block_dim > 1:
@@ -783,15 +776,11 @@ def _non_tight_spec(config: SuiteConfig, trial: int) -> GenSpec | None:
     return replace(spec, module_rank=2, codomain_ranks=ranks)
 
 
-def _check_tightness_scaling(config: SuiteConfig, trial: int) -> TrialOutcome:
-    scale_choice = TIGHT_SCALES[trial % len(TIGHT_SCALES)]
-    inst = _make(
-        config, "tightness_scaling", trial, "tight", tight_scale=scale_choice
-    )
-    rep = tightness_check(
-        inst.frame, inst.k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
-    )
-    neg_spec = _non_tight_spec(config, trial)
+def _check_tightness_scaling(t: Trial) -> TrialOutcome:
+    scale_choice = TIGHT_SCALES[t.index % len(TIGHT_SCALES)]
+    inst = t.make("tight", tight_scale=scale_choice)
+    rep = tightness_check(inst.frame, inst.k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol)
+    neg_spec = _non_tight_spec(t)
     measured = {
         "target_scale": scale_choice,
         "recovered_scale": rep.scale,
@@ -803,9 +792,9 @@ def _check_tightness_scaling(config: SuiteConfig, trial: int) -> TrialOutcome:
     if neg_spec is None:
         measured["generic_skipped"] = True
     else:
-        neg = _generate(config, "tightness_scaling", trial, neg_spec)
+        neg = t.generate(neg_spec)
         neg_tight, _, neg_residual = tightness_scale(
-            neg.frame, neg.k_op, tol_eq=config.tol_eq
+            neg.frame, neg.k_op, tol_eq=t.tol_eq
         )
         measured["generic_residual"] = neg_residual
         instances.append(neg)
@@ -818,14 +807,14 @@ def _check_tightness_scaling(config: SuiteConfig, trial: int) -> TrialOutcome:
     return _outcome(ok, measured, "tightness scale recovery failed", *instances)
 
 
-def _check_identity_resolution(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "identity_resolution", trial, "resolution")
-    rep = resolution_check(inst.frame, inst.k_op, rel_tol=config.rel_tol)
+def _check_identity_resolution(t: Trial) -> TrialOutcome:
+    inst = t.make("resolution")
+    rep = resolution_check(inst.frame, inst.k_op, rel_tol=t.rel_tol)
     ok = rep.sums_to_identity and rep.consistent
     audited = None
     if rep.sums_to_identity and rep.conclusion_holds is False and rep.consistent:
         audited = {
-            "trial": trial,
+            "trial": t.index,
             "spec": spec_to_dict(inst.spec),
             "lower_c": float(rep.kg_report.lower_c),
             "reevaluation": {
@@ -860,12 +849,12 @@ def _quotient_agreement(
     return verdict, ratio_dev
 
 
-def _check_quotient_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
-    kind, kwargs = _SQRT_VARIANTS[trial % 3]
-    inst = _make(config, "quotient_criterion", trial, kind, **kwargs)
+def _check_quotient_criterion(t: Trial) -> TrialOutcome:
+    kind, kwargs = _SQRT_VARIANTS[t.index % 3]
+    inst = t.make(kind, **kwargs)
     sqrt_op = inst.frame.frame_operator().hermitian_sqrt()
-    qrep = quotient_bounded(inst.k_op.adjoint(), sqrt_op, rel_tol=config.rel_tol)
-    kg = is_kg_frame(inst.frame, inst.k_op, rel_tol=config.rel_tol)
+    qrep = quotient_bounded(inst.k_op.adjoint(), sqrt_op, rel_tol=t.rel_tol)
+    kg = is_kg_frame(inst.frame, inst.k_op, rel_tol=t.rel_tol)
     quotient_verdict, ratio_dev = _quotient_agreement(qrep, kg)
     ok = quotient_verdict == kg.is_k_g_frame and ratio_dev <= 1e-6
     measured = {
@@ -879,16 +868,16 @@ def _check_quotient_criterion(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_quotient_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "quotient_transform_criterion", trial, "generic", rich=True)
-    rng = _rng_for(config, "quotient_transform_criterion", trial, "square")
+def _check_quotient_transform(t: Trial) -> TrialOutcome:
+    inst = t.make("generic", rich=True)
+    rng = t.rng("square")
     q_op = clamped_square(rng, inst.shape, inst.spec.module_rank)
     moved = GFrame([q_op.then(mem) for mem in inst.frame.members])
-    kg_moved = is_kg_frame(moved, inst.k_op, rel_tol=config.rel_tol)
+    kg_moved = is_kg_frame(moved, inst.k_op, rel_tol=t.rel_tol)
     top = q_op.then(inst.frame.frame_operator().hermitian_sqrt())
-    qrep = quotient_bounded(inst.k_op.adjoint(), top, rel_tol=config.rel_tol)
+    qrep = quotient_bounded(inst.k_op.adjoint(), top, rel_tol=t.rel_tol)
     quotient_verdict, ratio_dev = _quotient_agreement(qrep, kg_moved)
-    kg_base = is_kg_frame(inst.frame, inst.k_op, rel_tol=config.rel_tol)
+    kg_base = is_kg_frame(inst.frame, inst.k_op, rel_tol=t.rel_tol)
     ok = (
         quotient_verdict == kg_moved.is_k_g_frame
         and kg_moved.is_k_g_frame == kg_base.is_k_g_frame
@@ -905,22 +894,19 @@ def _check_quotient_transform(config: SuiteConfig, trial: int) -> TrialOutcome:
     )
 
 
-def _check_dual_transport(config: SuiteConfig, trial: int) -> TrialOutcome:
-    inst = _make(config, "dual_transport", trial, "coisometry", basis_compatible=True)
-    rng = _rng_for(config, "dual_transport", trial, "square")
+def _check_dual_transport(t: Trial) -> TrialOutcome:
+    inst = t.make("coisometry", basis_compatible=True)
+    rng = t.rng("square")
     q0 = clamped_square(rng, inst.shape, inst.spec.module_rank)
     frame = reconstruct_from_g_operator(q0, inst.basis)
     k_op = inst.k_op
-    xi = canonical_k_dual(
-        frame, k_op, tol_eq=config.tol_eq, rel_tol=config.rel_tol
-    ).frame
+    xi = canonical_k_dual(frame, k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol).frame
     w_op = inst.extras["w"]
-    rep = coisometry_transport(frame, xi, k_op, w_op, tol_eq=config.tol_eq)
-    rejected = False
-    try:
-        coisometry_transport(frame, xi, k_op, w_op.scale(1.2), tol_eq=config.tol_eq)
-    except IsometryError:
-        rejected = True
+    rep = coisometry_transport(frame, xi, k_op, w_op, tol_eq=t.tol_eq)
+    rejected = _raises(
+        IsometryError, coisometry_transport,
+        frame, xi, k_op, w_op.scale(1.2), tol_eq=t.tol_eq,
+    )
     ok = (
         rep.certificate.is_dual
         and rep.certificate.residual <= rep.base_certificate.residual + 1e-12
@@ -938,7 +924,7 @@ def _check_dual_transport(config: SuiteConfig, trial: int) -> TrialOutcome:
 @dataclass(frozen=True)
 class CheckDef:
     statement: str
-    fn: Callable[[SuiteConfig, int], TrialOutcome]
+    fn: Callable[[Trial], TrialOutcome]
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -1067,7 +1053,7 @@ def run_check(config: SuiteConfig, check_id: str, trial: int) -> TrialOutcome:
     """Run one trial of one check; pure in (config, check_id, trial)."""
     _require_known(check_id)
     try:
-        return CHECKS[check_id].fn(config, trial)
+        return CHECKS[check_id].fn(Trial(config, check_id, trial))
     except (KGFrameError, np.linalg.LinAlgError) as exc:
         return _outcome(False, {}, f"unexpected error: {type(exc).__name__}: {exc}")
 

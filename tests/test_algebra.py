@@ -124,6 +124,7 @@ def test_positivity_tolerance_is_relative():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the PSD slack tol_psd*(1+|a|) has an absolute floor",
 )
 def test_small_negative_element_is_not_positive():

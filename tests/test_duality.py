@@ -308,6 +308,6 @@ def test_a_repeated_isometry_still_fails_first_with_its_message():
     message = f"composite with the adjoint deviates from the identity by {defect:.3e}"
     for listed in ([good, bad, bad, worse], [good, bad, worse, bad], [bad, good, bad]):
         with pytest.raises(kg.IsometryError) as err:
-            duality._require_isometries(listed, 1e-10, adjoint_first=False)
+            duality._require_isometries(listed, adjoint_first=False)
         assert str(err.value) == message
-    duality._require_isometries([good, good, good], 1e-10, adjoint_first=False)
+    duality._require_isometries([good, good, good], adjoint_first=False)

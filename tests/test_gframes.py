@@ -113,6 +113,23 @@ def test_canonical_basis_axioms():
     assert kg.operator_distance(total, ident) < 1e-14
 
 
+def test_seminorm_additivity_is_reported_but_not_required():
+    # over 1x1 blocks the scalar seminorms add up on every probe
+    scalar = kg.canonical_basis(kg.AlgebraShape((1,)), 3, (1, 1, 1))
+    report = kg.basis_axiom_report(scalar)
+    assert report.seminorm_additive_ok
+    assert report.seminorm_violation < 1e-14
+    assert report.probe_count == 3
+    # over a 2x2 block the two adopted axioms hold and additivity fails
+    matrix = kg.canonical_basis(kg.AlgebraShape((2,)), 2, (1, 1))
+    report = kg.basis_axiom_report(matrix)
+    assert report.delta_ok and report.parseval_ok
+    assert not report.seminorm_additive_ok
+    assert report.seminorm_violation == pytest.approx(6.054e-3, rel=1e-3)
+    assert report.probe_count == 3
+    assert kg.validate_basis(matrix).delta_ok
+
+
 def test_canonical_basis_partition_errors():
     shape = kg.AlgebraShape((2,))
     with pytest.raises(kg.PartitionError):

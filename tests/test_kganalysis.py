@@ -18,14 +18,14 @@ def test_pinned_example_lower_scale():
     report = kg.is_kg_frame(frame, k_op)
     assert report.is_k_g_frame
     assert report.lower_c == pytest.approx(1.5, abs=1e-9)
-    assert report.upper_d == pytest.approx(3.0, abs=1e-9)
+    assert kg.optimal_g_bounds(frame).upper == pytest.approx(3.0, abs=1e-9)
     assert not report.degenerate_zero_k
     assert report.counterexample is None
-    assert kg.optimal_kg_lower_bound(frame, k_op) == report.lower_c
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the pencil's inclusion slack 1e-12*(1+|M|) has an absolute floor",
 )
 def test_small_reference_outside_the_frame_range_is_refused():
@@ -33,6 +33,21 @@ def test_small_reference_outside_the_frame_range_is_refused():
     frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [np.diag([1.0, 0.0])])])
     k_op = kg.ModuleOperator(shape, 1, 1, [1e-6 * np.diag([0.0, 1.0])])
     assert not kg.is_kg_frame(frame, k_op).is_k_g_frame
+
+
+def test_an_overflowing_quotient_is_refused_along_the_pencil_direction():
+    # S = 1e-200 and |K|^2 = 1e200: the range is included, but the quotient
+    # overflows to inf, so the lower scale 1/quotient is 0
+    shape = single_block_shape()
+    frame = kg.GFrame([square_op(shape, [[1e-100]])])
+    k_op = square_op(shape, [[1e100]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = kg.is_kg_frame(frame, k_op)
+    assert report.pencil.included and report.pencil.quotient == np.inf
+    assert not report.is_k_g_frame and report.lower_c == 0.0
+    cert = report.counterexample
+    assert cert.block == report.pencil.block
+    assert cert.margin > 0 and cert.admissible_ceiling == 0.0
 
 
 def test_identity_reference_recovers_frame_bound():

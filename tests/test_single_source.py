@@ -2,7 +2,9 @@
 algebra.rank_cutoff, the residual gate is algebra.slack, and the pencil's
 fixed floor is algebra.INCLUSION_TOL.  Only the three decision inputs
 (tol_eq, tol_psd, rel_tol) are tolerance parameters; every other
-threshold is a module constant."""
+threshold is a module constant, and the suite hands the decision inputs
+to every call that takes one.  The suite's one seed rule is
+suite.Trial.seed."""
 
 import ast
 import inspect
@@ -91,29 +93,33 @@ def test_the_inclusion_floor_is_one_exported_constant():
         assert "inclusion_tol" not in inspect.signature(fn).parameters
 
 
-def _defaulted_parameters(path):
+def _parameters(path):
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults) :]
-            defaulted += [
-                arg
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                if default is not None
-            ]
-            for arg in defaulted:
-                yield node, arg.arg
+            for arg in (
+                *args.posonlyargs,
+                *args.args,
+                args.vararg,
+                *args.kwonlyargs,
+                args.kwarg,
+            ):
+                if arg is not None:
+                    yield node, arg.arg
 
 
 def test_only_the_decision_inputs_are_tolerance_parameters():
     paths = sorted(SOURCE.glob("*.py"))
     assert SOURCE / "algebra.py" in paths
     knobs = [
-        f"{path.name}:{node.lineno}: {node.name}({name}=...)"
+        f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}({name})"
         for path in paths
-        for node, name in _defaulted_parameters(path)
-        if re.search(r"tol|slack", name) and name not in DECISION_INPUTS
+        for node, name in _parameters(path)
+        if re.search(r"tol|slack", name)
+        and name not in DECISION_INPUTS
+        # the gate itself: its tol is whichever tolerance the caller gates by
+        and (path.name, getattr(node, "name", None), name)
+        != ("algebra.py", "slack", "tol")
     ]
     assert not knobs, "tolerance parameters:\n" + "\n".join(knobs)
 
@@ -143,3 +149,150 @@ def test_generator_settings_and_thresholds_are_constants():
         assert value == expected
     for cls in (kg.AlgebraElement, kg.ModuleOperator):
         assert not hasattr(cls, "allclose")
+
+
+# -- the suite: decision inputs reach every call, one seed rule ------------
+
+SUITE = SOURCE / "suite.py"
+
+
+def _decision_parameters(fn, bound):
+    """(position, name) of each decision input fn takes; a bound method's
+    self is not a position."""
+    try:
+        params = list(inspect.signature(fn).parameters)
+    except (TypeError, ValueError):
+        return []
+    if bound:
+        params = params[1:]
+    return [(pos, name) for pos, name in enumerate(params) if name in DECISION_INPUTS]
+
+
+def _package_methods():
+    """Method name -> the methods of that name on the package's classes."""
+    methods = {}
+    for module in vars(kg).values():
+        if not inspect.ismodule(module) or not module.__name__.startswith("kgframes."):
+            continue
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                for name, raw in vars(cls).items():
+                    if inspect.isfunction(raw):
+                        methods.setdefault(name, []).append(raw)
+    return methods
+
+
+def _calls_missing_a_decision_input(text, namespace):
+    """Calls in `text` to a function or method with a decision input that
+    do not pass it; `_raises(error, fn, *args, **kwargs)` calls fn."""
+    methods = _package_methods()
+    missing = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "_raises":
+            func, args = args[1], args[2:]
+        if isinstance(func, ast.Name):
+            target = namespace.get(func.id)
+            wanted = _decision_parameters(target, False) if callable(target) else []
+            label = func.id
+        elif isinstance(func, ast.Attribute):
+            wanted = {
+                pair
+                for method in methods.get(func.attr, ())
+                for pair in _decision_parameters(method, True)
+            }
+            label = f".{func.attr}"
+        else:
+            continue
+        positional = len([a for a in args if not isinstance(a, ast.Starred)])
+        passed = {kw.arg for kw in node.keywords}
+        for pos, name in sorted(wanted):
+            if pos >= positional and name not in passed:
+                missing.append(f"suite.py:{node.lineno}: {label}(... {name} missing)")
+    return missing
+
+
+def test_every_suite_call_passes_the_decision_inputs():
+    missing = _calls_missing_a_decision_input(SUITE.read_text(), vars(suite))
+    assert not missing, "\n".join(missing)
+
+
+def test_the_call_guard_sees_a_missing_decision_input():
+    spelled = {
+        "is_kg_frame(frame, k_op)": 1,
+        "is_kg_frame(frame, k_op, rel_tol=t.rel_tol)": 0,
+        "bounds.is_frame()": 1,
+        "bounds.is_frame(t.rel_tol)": 0,
+        "_raises(IsometryError, isometry_left_transform, f, k, w)": 1,
+        "_raises(IsometryError, isometry_left_transform, f, k, w, rel_tol=r)": 0,
+        "transform_by_q(f, k, q, tol_eq=e)": 1,
+        "x.positivity(tol_psd=p)": 0,
+    }
+    for text, count in spelled.items():
+        assert len(_calls_missing_a_decision_input(text, vars(suite))) == count, text
+
+
+def _inside_functions(tree):
+    """(node, qualified name of the innermost function around it) for every
+    node inside a function or method, e.g. ``Trial.seed``."""
+
+    def visit(node, names, in_function):
+        for child in ast.iter_child_nodes(node):
+            if in_function:
+                yield child, ".".join(names)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, [*names, child.name], True)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, [*names, child.name], in_function)
+            else:
+                yield from visit(child, names, in_function)
+
+    yield from visit(tree, [], False)
+
+
+def _sub_seed_sites(text):
+    return [
+        (node.lineno, scope)
+        for node, scope in _inside_functions(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sub_seed"
+    ]
+
+
+def _check_id_literals(text):
+    return [
+        f"suite.py:{node.lineno}: {node.value!r} in {scope}"
+        for node, scope in _inside_functions(ast.parse(text))
+        if isinstance(node, ast.Constant) and node.value in suite.CHECKS
+    ]
+
+
+def test_trial_seed_is_the_suites_one_seed_rule():
+    sites = _sub_seed_sites(SUITE.read_text())
+    assert [scope for _, scope in sites] == ["Trial.seed"], sites
+
+
+def test_no_check_id_is_spelled_inside_a_suite_function():
+    hits = _check_id_literals(SUITE.read_text())
+    assert not hits, "\n".join(hits)
+
+
+def test_the_seed_guards_see_a_second_rule():
+    text = (
+        "def _check_x(config, trial):\n"
+        "    seed = sub_seed(config.seed, 'synthesis_bound#probe', trial)\n"
+        "    return draw_spec('generic', sub_seed(1, 'synthesis_bound', trial))\n"
+        "class Trial:\n"
+        "    def seed(self):\n"
+        "        return sub_seed(0, 'x', 1)\n"
+        "IDS = ('synthesis_bound',)\n"
+    )
+    assert _sub_seed_sites(text) == [
+        (2, "_check_x"),
+        (3, "_check_x"),
+        (6, "Trial.seed"),
+    ]
+    assert _check_id_literals(text) == ["suite.py:3: 'synthesis_bound' in _check_x"]
