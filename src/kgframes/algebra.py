@@ -24,15 +24,15 @@ group of matrices that are all zero makes no call: its singular values,
 and so its spectral norms, are 0.0, which is what LAPACK returns for
 them.
 
-Public construction of an element copies its blocks into read-only
-complex C-ordered arrays.  Arithmetic results are fresh arrays of that
-kind already, so they are adopted through `_adopt`: frozen in place,
-with no copy and no check.
+Algebra elements, module vectors and module operators are all one
+complex matrix per block; `_Blocks` holds that storage, its construction
+policy and its blockwise arithmetic for all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Number
 from typing import Iterable, Sequence
 
@@ -187,86 +187,165 @@ class PositivityVerdict:
     hermitian_ok: bool
 
 
+def psd_verdicts(
+    block_lists: Sequence[Sequence[np.ndarray]], tol_psd: float = TOL_PSD
+) -> list[PositivityVerdict]:
+    """Decide blockwise positive semidefiniteness with relative slack, one
+    verdict per list of blocks.
+
+    The blocks of every list share one `spectral_norms` call and one
+    `eigvalsh_each` call, so each verdict is bitwise what its list alone
+    gets.
+    """
+    blocks = [b for blist in block_lists for b in blist]
+    norms = spectral_norms([*blocks, *(b - b.conj().T for b in blocks)])
+    spectra = eigvalsh_each([(b + b.conj().T) / 2.0 for b in blocks])
+    per_block = zip(norms, norms[len(blocks) :], spectra)
+    verdicts = []
+    for blist in block_lists:
+        herm_ok = positive = True
+        worst, worst_margin, worst_eig = 0, np.inf, np.inf
+        for k, (norm, herm_gap, lam) in enumerate(islice(per_block, len(blist))):
+            lam_min = float(lam[0]) if lam.size else 0.0
+            margin = lam_min + slack(tol_psd, norm)
+            if not herm_gap <= slack(TOL_HERM, norm):
+                herm_ok = positive = False
+                margin = -np.inf
+            elif margin < 0:
+                positive = False
+            if margin < worst_margin:
+                worst, worst_margin, worst_eig = k, margin, lam_min
+        verdicts.append(PositivityVerdict(positive, worst, worst_eig, herm_ok))
+    return verdicts
+
+
 def psd_verdict(
     blocks: Sequence[np.ndarray], tol_psd: float = TOL_PSD
 ) -> PositivityVerdict:
-    """Decide blockwise positive semidefiniteness with relative slack."""
-    herm_ok = True
-    worst = 0
-    worst_margin = np.inf
-    worst_eig = np.inf
-    positive = True
-    count = len(blocks)
-    norms = spectral_norms([*blocks, *(b - b.conj().T for b in blocks)])
-    spectra = eigvalsh_each([(b + b.conj().T) / 2.0 for b in blocks])
-    for k in range(count):
-        norm = norms[k]
-        herm_gap = norms[count + k]
-        blk_herm_ok = herm_gap <= slack(TOL_HERM, norm)
-        lam_min = float(spectra[k][0]) if spectra[k].size else 0.0
-        margin = lam_min + slack(tol_psd, norm)
-        if not blk_herm_ok:
-            herm_ok = False
-            positive = False
-            margin = -np.inf
-        elif margin < 0:
-            positive = False
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = k
-            worst_eig = lam_min
-    return PositivityVerdict(
-        is_positive=positive,
-        worst_block=worst,
-        min_eigenvalue=worst_eig,
-        hermitian_ok=herm_ok,
-    )
+    """Decide blockwise positive semidefiniteness with relative slack: the
+    one verdict of `psd_verdicts` on one list of blocks."""
+    return psd_verdicts([blocks], tol_psd=tol_psd)[0]
 
 
-class AlgebraElement:
-    """One square complex matrix per block, immutable."""
+# One shared tuple per distinct dims: a block object holds no dims tuple of
+# its own, so it costs no more memory, and no more objects for the cyclic
+# garbage collector to count, than separate int fields would.
+_DIMS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    __slots__ = ("shape", "blocks")
 
-    def __init__(self, shape: AlgebraShape, blocks: Iterable[np.ndarray]):
+class _Blocks:
+    """One complex matrix per algebra block, immutable: the storage of
+    algebra elements, module vectors and module operators.
+
+    `dims` are a kind's sizes beyond the algebra shape: () for an
+    element, (rank,) for a vector and (domain_rank, codomain_rank) for an
+    operator.  A kind's `_block_shape(n, *dims)` is the shape of its
+    matrix on a block of size n.
+
+    Public construction, `Kind(shape, *dims, blocks)`, copies every block
+    into a read-only complex C-ordered array (`_freeze`) and checks the
+    dims, the block count, each block's shape and that every entry is
+    finite.  Results computed from blocks are fresh arrays of that kind
+    already, so they go through the trusted `_fresh`, which adopts them
+    in place (`_adopt`) with no copy and no check.  Sums, differences,
+    negatives and scalings are blockwise, between operands of one shape
+    and equal dims.
+    """
+
+    __slots__ = ("shape", "dims", "blocks")
+
+    def __init__(self, shape: AlgebraShape, *args):
+        *dims, blocks = args
+        dims = tuple(map(int, dims))
+        if any(d < 1 for d in dims):
+            raise ShapeMismatch(f"dimensions must be positive, got {dims}")
         blocks = tuple(_freeze(b) for b in blocks)
         if len(blocks) != shape.block_count:
             raise ShapeMismatch(
                 f"expected {shape.block_count} blocks, got {len(blocks)}"
             )
-        for n, blk in zip(shape, blocks):
-            if blk.shape != (n, n):
-                raise ShapeMismatch(f"block shaped {blk.shape}, expected ({n}, {n})")
+        for k, (n, blk) in enumerate(zip(shape, blocks)):
+            want = self._block_shape(n, *dims)
+            if blk.shape != want:
+                raise ShapeMismatch(f"block {k} shaped {blk.shape}, expected {want}")
+            if not np.isfinite(blk).all():
+                raise ValueError(f"block {k} has a non-finite entry")
         self.shape = shape
+        self.dims = _DIMS.setdefault(dims, dims)
         self.blocks = blocks
 
     @classmethod
     def _fresh(
-        cls, shape: AlgebraShape, blocks: Iterable[np.ndarray]
-    ) -> "AlgebraElement":
+        cls, shape: AlgebraShape, dims: tuple[int, ...], blocks: Iterable[np.ndarray]
+    ):
         """Trusted constructor for freshly computed blocks of the right
-        shapes: adopted in place, neither copied nor checked."""
+        shapes: adopted, neither copied nor checked."""
         out = cls.__new__(cls)
         out.shape = shape
+        out.dims = _DIMS.setdefault(dims, dims)
         out.blocks = _adopt(blocks)
         return out
 
-    @classmethod
-    def zero(cls, shape: AlgebraShape) -> "AlgebraElement":
-        return cls(shape, [np.zeros((n, n), dtype=complex) for n in shape])
+    def _like(self, blocks: Iterable[np.ndarray]):
+        """Fresh blocks of this one's kind, shape and dims, through `_fresh`."""
+        return self._fresh(self.shape, self.dims, blocks)
 
     @classmethod
-    def identity(cls, shape: AlgebraShape) -> "AlgebraElement":
-        return cls(shape, [np.eye(n, dtype=complex) for n in shape])
+    def zero(cls, shape: AlgebraShape, *dims: int):
+        return cls(
+            shape,
+            *dims,
+            [np.zeros(cls._block_shape(n, *dims), dtype=complex) for n in shape],
+        )
+
+    def _check_compatible(self, other: "_Blocks") -> None:
+        _check_same_shape(self.shape, other.shape)
+        if self.dims != other.dims:
+            raise ShapeMismatch(f"dimensions differ: {self.dims} vs {other.dims}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._like([a + b for a, b in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self._like([a - b for a, b in zip(self.blocks, other.blocks)])
+
+    def __neg__(self):
+        return self._like([-b for b in self.blocks])
+
+    def scale(self, c: complex):
+        return self._like([c * b for b in self.blocks])
+
+
+def _identity(cls, shape: AlgebraShape, *rank: int):
+    """The identity matrix on every block: the unit element, or the
+    identity operator from rank r onto rank r."""
+    dims = rank * 2
+    return cls(
+        shape,
+        *dims,
+        [np.eye(*cls._block_shape(n, *dims), dtype=complex) for n in shape],
+    )
+
+
+class AlgebraElement(_Blocks):
+    """One square complex matrix per block, immutable."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _block_shape(n: int) -> tuple[int, int]:
+        return (n, n)
+
+    identity = classmethod(_identity)
 
     def block(self, k: int) -> np.ndarray:
         return self.blocks[k]
 
     def star(self) -> "AlgebraElement":
         """Blockwise conjugate transpose (the algebra involution)."""
-        return AlgebraElement._fresh(
-            self.shape, [np.conjugate(b.T, order="C") for b in self.blocks]
-        )
+        return self._like([np.conjugate(b.T, order="C") for b in self.blocks])
 
     def seminorm(self, k: int) -> float:
         """Spectral norm of block k."""
@@ -281,27 +360,11 @@ class AlgebraElement:
     def is_positive(self, tol_psd: float = TOL_PSD) -> PositivityVerdict:
         return psd_verdict(self.blocks, tol_psd=tol_psd)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same_shape(self.shape, other.shape)
-        return AlgebraElement._fresh(
-            self.shape, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same_shape(self.shape, other.shape)
-        return AlgebraElement._fresh(
-            self.shape, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._fresh(self.shape, [-b for b in self.blocks])
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             _check_same_shape(self.shape, other.shape)
-            return AlgebraElement._fresh(
-                self.shape,
-                [_product(a, b) for a, b in zip(self.blocks, other.blocks)],
+            return self._like(
+                [_product(a, b) for a, b in zip(self.blocks, other.blocks)]
             )
         if isinstance(other, Number):
             return self.scale(complex(other))
@@ -311,9 +374,6 @@ class AlgebraElement:
         if isinstance(other, Number):
             return self.scale(complex(other))
         return NotImplemented
-
-    def scale(self, c: complex) -> "AlgebraElement":
-        return AlgebraElement._fresh(self.shape, [c * b for b in self.blocks])
 
     def __repr__(self) -> str:
         return f"AlgebraElement(shape={self.shape.sizes})"

@@ -101,22 +101,25 @@ def _realization(grid, n: int, d: int, c: int) -> np.ndarray | None:
     """Realization block (d n, c n) from a d x c grid of n x n pair matrices.
 
     None if the grid is ragged, holds anything but lists, tuples, ints and
-    floats, or holds a non-finite number.
+    floats, or holds a non-finite number.  The caller has checked the d x c
+    outer levels.
     """
     try:
-        arr = np.array(grid, dtype=float)
-        if arr.shape != (d, c, n, n, 2):
-            return None
         mats = list(chain.from_iterable(grid))
         rows = list(chain.from_iterable(mats))
         pairs = list(chain.from_iterable(rows))
+        numbers = list(chain.from_iterable(pairs))
+        kinds = set(map(type, chain(mats, rows, pairs, numbers)))
+        square = {n} == set(map(len, mats)) == set(map(len, rows))
+        if not kinds <= _GRID_TYPES or not square or set(map(len, pairs)) != {2}:
+            return None
+        arr = np.array(numbers, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    kinds = set(map(type, chain(mats, rows, pairs, chain.from_iterable(pairs))))
-    if not kinds <= _GRID_TYPES or not np.isfinite(arr).all():
+    if arr.shape != (d * c * n * n * 2,) or not np.isfinite(arr).all():
         return None
     # a float64 [re, im] pair has the memory layout of one complex128
-    entries = arr.view(complex)[..., 0]
+    entries = arr.view(complex).reshape(d, c, n, n)
     return entries.transpose(0, 2, 1, 3).reshape(d * n, c * n)
 
 
@@ -297,7 +300,12 @@ def _instance_from(payload, root: str) -> InstanceDocument:
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # the tree was just built by `build_document` or `build_certificate`,
+    # so it holds no cycle to look for
+    return (
+        json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
+        + "\n"
+    )
 
 
 def document_from_json(text: str) -> InstanceDocument:

@@ -92,11 +92,8 @@ def verify_k_dual(
     _check_square_on_domain(gamma, k_op)
     residual = gamma._dual_residuals.get((xi, k_op))
     if residual is None:
-        gap = ModuleOperator._fresh(
-            k_op.shape,
-            k_op.domain_rank,
-            k_op.codomain_rank,
-            [acc - k for acc, k in zip(_dual_sum_blocks(gamma, xi), k_op.blocks)],
+        gap = k_op._like(
+            [acc - k for acc, k in zip(_dual_sum_blocks(gamma, xi), k_op.blocks)]
         )
         residual = gamma._dual_residuals[(xi, k_op)] = uniform_norms(gap, k_op)[0]
     k_norm = k_op.uniform_norm()

@@ -7,13 +7,15 @@ synthesis operator; their composite is the frame operator.
 
 A family and its members are immutable, so a family keeps what it was
 measured to be: its analysis and frame operators, its basis validation,
-its square operator against each basis and its duality residual against
-each (dual family, K) pair.
+its square operator against each basis, its duality residual against
+each (dual family, K) pair and its K-g-frame report for each
+(K, rel_tol) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +54,7 @@ def embed_direction(
         )
     stacks = [np.zeros((m, m * rank), dtype=complex) for m in shape]
     stacks[block][0, :] = direction.conj()
-    return ModuleVector._fresh(shape, rank, stacks)
+    return ModuleVector._fresh(shape, (rank,), stacks)
 
 
 class GFrame:
@@ -68,6 +70,7 @@ class GFrame:
         "_basis_report",
         "_g_operators",
         "_dual_residuals",
+        "_kg_reports",
     )
 
     def __init__(self, members: Iterable[ModuleOperator]):
@@ -93,6 +96,8 @@ class GFrame:
         # keyed by the basis, and by the (dual family, K) pair, as objects
         self._g_operators: dict[GFrame, ModuleOperator] = {}
         self._dual_residuals: dict[tuple[GFrame, ModuleOperator], float] = {}
+        # `kganalysis.is_kg_frame` reports, keyed by the (K, rel_tol) pair
+        self._kg_reports: dict[tuple[ModuleOperator, float], object] = {}
 
     # -- structure ----------------------------------------------------
 
@@ -129,7 +134,7 @@ class GFrame:
                 for k in range(self.shape.block_count)
             ]
             self._analysis = ModuleOperator._fresh(
-                self.shape, self.domain_rank, self.total_codomain_rank, blocks
+                self.shape, (self.domain_rank, self.total_codomain_rank), blocks
             )
         return self._analysis
 
@@ -143,8 +148,7 @@ class GFrame:
             analysis = self.analysis_operator()
             self._frame_op = ModuleOperator._fresh(
                 self.shape,
-                self.domain_rank,
-                self.domain_rank,
+                (self.domain_rank, self.domain_rank),
                 [_hermitize(b @ b.conj().T) for b in analysis.blocks],
             )
         return self._frame_op
@@ -178,16 +182,31 @@ class FrameBounds:
     """Optimal two-sided constants of the frame inequality.
 
     `lower` and `upper` are the extreme eigenvalues of the frame operator
-    realizations over all blocks; the witnesses attain them.
+    realizations over all blocks; the witnesses attain them.  Each
+    witness is built from its block and eigenvector when first read.
     """
 
     lower: float
     upper: float
     tight: bool
-    witness_low: ModuleVector
-    witness_high: ModuleVector
     lower_block: int
     upper_block: int
+    _shape: AlgebraShape
+    _rank: int
+    _lower_direction: np.ndarray
+    _upper_direction: np.ndarray
+
+    @cached_property
+    def witness_low(self) -> ModuleVector:
+        return embed_direction(
+            self._shape, self._rank, self.lower_block, self._lower_direction
+        )
+
+    @cached_property
+    def witness_high(self) -> ModuleVector:
+        return embed_direction(
+            self._shape, self._rank, self.upper_block, self._upper_direction
+        )
 
     def is_frame(self, rel_tol: float = TOL_RANK) -> bool:
         return self.lower > rank_cutoff(self.upper, rel_tol)
@@ -209,16 +228,17 @@ def optimal_g_bounds(frame: GFrame) -> FrameBounds:
             hi_block = k
             hi_vec = vecs[:, -1]
     lower = max(lower, 0.0)
-    witness_low = embed_direction(frame.shape, frame.domain_rank, lo_block, lo_vec)
-    witness_high = embed_direction(frame.shape, frame.domain_rank, hi_block, hi_vec)
     return FrameBounds(
         lower=lower,
         upper=upper,
         tight=(upper - lower) <= TIGHT_TOL * upper,
-        witness_low=witness_low,
-        witness_high=witness_high,
         lower_block=lo_block,
         upper_block=hi_block,
+        _shape=frame.shape,
+        _rank=frame.domain_rank,
+        # copies: a view would keep the whole stacked eigenvector array alive
+        _lower_direction=lo_vec.copy(),
+        _upper_direction=hi_vec.copy(),
     )
 
 
@@ -396,7 +416,7 @@ def g_operator(frame: GFrame, basis: GFrame) -> ModuleOperator:
         for mem, e in zip(frame.members, basis.members):
             acc = acc + e.blocks[k] @ mem.blocks[k].conj().T
         blocks.append(acc)
-    q_op = frame._g_operators[basis] = ModuleOperator._fresh(shape, d, d, blocks)
+    q_op = frame._g_operators[basis] = ModuleOperator._fresh(shape, (d, d), blocks)
     return q_op
 
 

@@ -143,8 +143,14 @@ def is_kg_frame(
     tolerance, so scaling the frame or K moves C and not the verdict.  A
     false verdict carries a witness vector whose inequality values
     demonstrate the failure.
+
+    The report is kept on the frame, one per (K, rel_tol) pair: the frame
+    and K are immutable, so a pair is decided once.
     """
     _check_square_on_domain(frame, k_op)
+    report = frame._kg_reports.get((k_op, rel_tol))
+    if report is not None:
+        return report
     s_op = frame.frame_operator()
     m_blocks = _absolute_square_blocks(k_op)
     pencil = pencil_over_spectrum(m_blocks, s_op.hermitian_spectrum(), rel_tol)
@@ -176,13 +182,14 @@ def is_kg_frame(
             counterexample = _certificate_from_direction(
                 frame, k_op, pencil.block, pencil.direction
             )
-    return KGFrameReport(
+    report = frame._kg_reports[(k_op, rel_tol)] = KGFrameReport(
         is_k_g_frame=verdict,
         lower_c=scale,
         degenerate_zero_k=degenerate,
         pencil=pencil,
         counterexample=counterexample,
     )
+    return report
 
 
 def kg_via_range(
@@ -236,11 +243,8 @@ def tightness_scale(
         residual = s_norm = s_op.uniform_norm()
     else:
         scale = max(num / den, 0.0)
-        gap = ModuleOperator._fresh(
-            s_op.shape,
-            s_op.domain_rank,
-            s_op.codomain_rank,
-            [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)],
+        gap = s_op._like(
+            [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)]
         )
         residual, s_norm = uniform_norms(gap, s_op)
     return bool(residual <= slack(tol_eq, s_norm) and scale > 0.0), scale, residual

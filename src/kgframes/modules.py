@@ -3,63 +3,41 @@
 A vector in the rank-d free module has d algebra components.  Per block
 the components are kept side by side in one row stack of width n_k * d,
 which is the form every operator acts on by right multiplication.
-
-Public construction copies the stacks into read-only complex arrays;
-module arithmetic, operator images and inner products adopt their fresh
-results in place (`algebra._adopt`) and skip the copy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
-    _adopt,
+    _Blocks,
     _check_same_shape,
-    _freeze,
     spectral_norms,
 )
 from .errors import ShapeMismatch
 
 
-class ModuleVector:
+class ModuleVector(_Blocks):
     """Element of the rank-d free module, stored as per-block row stacks."""
 
-    __slots__ = ("shape", "rank", "stacks")
+    __slots__ = ()
 
-    def __init__(self, shape: AlgebraShape, rank: int, stacks: Iterable[np.ndarray]):
-        rank = int(rank)
-        if rank < 1:
-            raise ShapeMismatch(f"module rank must be positive, got {rank}")
-        stacks = tuple(_freeze(s) for s in stacks)
-        if len(stacks) != shape.block_count:
-            raise ShapeMismatch(
-                f"expected {shape.block_count} stacks, got {len(stacks)}"
-            )
-        for n, stack in zip(shape, stacks):
-            if stack.shape != (n, n * rank):
-                raise ShapeMismatch(
-                    f"stack shaped {stack.shape}, expected ({n}, {n * rank})"
-                )
-        self.shape = shape
-        self.rank = rank
-        self.stacks = stacks
+    @staticmethod
+    def _block_shape(n: int, rank: int) -> tuple[int, int]:
+        return (n, n * rank)
 
-    @classmethod
-    def _fresh(
-        cls, shape: AlgebraShape, rank: int, stacks: Iterable[np.ndarray]
-    ) -> "ModuleVector":
-        """Trusted constructor for freshly computed stacks of the right
-        shapes: adopted in place, neither copied nor checked."""
-        out = cls.__new__(cls)
-        out.shape = shape
-        out.rank = rank
-        out.stacks = _adopt(stacks)
-        return out
+    @property
+    def rank(self) -> int:
+        return self.dims[0]
+
+    @property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The row stacks: the blocks, as one tuple."""
+        return self.blocks
 
     @classmethod
     def from_components(
@@ -74,10 +52,6 @@ class ModuleVector:
         for k, n in enumerate(shape):
             stacks.append(np.hstack([comp.blocks[k] for comp in components]))
         return cls(shape, len(components), stacks)
-
-    @classmethod
-    def zero(cls, shape: AlgebraShape, rank: int) -> "ModuleVector":
-        return cls(shape, rank, [np.zeros((n, n * rank), dtype=complex) for n in shape])
 
     @classmethod
     def basis_vector(cls, shape: AlgebraShape, rank: int, index: int) -> "ModuleVector":
@@ -102,32 +76,10 @@ class ModuleVector:
     def components(self) -> list[AlgebraElement]:
         return [self.component(i) for i in range(self.rank)]
 
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        self._check_compatible(other)
-        return ModuleVector._fresh(
-            self.shape, self.rank, [a + b for a, b in zip(self.stacks, other.stacks)]
-        )
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        self._check_compatible(other)
-        return ModuleVector._fresh(
-            self.shape, self.rank, [a - b for a, b in zip(self.stacks, other.stacks)]
-        )
-
-    def scale(self, c: complex) -> "ModuleVector":
-        return ModuleVector._fresh(self.shape, self.rank, [c * s for s in self.stacks])
-
     def left_mul(self, a: AlgebraElement) -> "ModuleVector":
         """Module action: multiply every component by a on the left."""
         _check_same_shape(self.shape, a.shape)
-        return ModuleVector._fresh(
-            self.shape, self.rank, [blk @ s for blk, s in zip(a.blocks, self.stacks)]
-        )
-
-    def _check_compatible(self, other: "ModuleVector") -> None:
-        _check_same_shape(self.shape, other.shape)
-        if self.rank != other.rank:
-            raise ShapeMismatch(f"module ranks differ: {self.rank} vs {other.rank}")
+        return self._like([blk @ s for blk, s in zip(a.blocks, self.stacks)])
 
     def __repr__(self) -> str:
         return f"ModuleVector(shape={self.shape.sizes}, rank={self.rank})"
@@ -144,7 +96,7 @@ def inner(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     blocks = [
         np.einsum("ip,jp->ij", xs, ys.conj()) for xs, ys in zip(x.stacks, y.stacks)
     ]
-    return AlgebraElement._fresh(x.shape, blocks)
+    return AlgebraElement._fresh(x.shape, (), blocks)
 
 
 def vector_seminorm(x: ModuleVector, k: int) -> float:

@@ -15,18 +15,12 @@ operator's uniform norm and Hermitian spectrum are computed once and
 kept, so the frame operator shared by a frame's bounds, pencil and
 square root is decomposed once; `uniform_norms` measures the norms that
 a verdict needs together in one kernel call.
-
-Public construction copies the blocks into read-only complex arrays and
-checks their shapes.  Composites, sums, scalings, adjoints, inverses,
-projections and square roots are fresh arrays of the right shapes, so
-they go through the trusted `ModuleOperator._fresh`, which freezes them
-in place and skips both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,12 +29,11 @@ from .algebra import (
     TOL_PSD,
     TOL_RANK,
     AlgebraElement,
-    AlgebraShape,
     PositivityVerdict,
-    _adopt,
+    _Blocks,
     _check_same_shape,
     _each,
-    _freeze,
+    _identity,
     eigh_each,
     leq,
     psd_verdict,
@@ -85,63 +78,27 @@ def _pseudoinverses(rel_tol: float):
     return decompose
 
 
-class ModuleOperator:
-    """Adjointable module map held as one realization matrix per block."""
+class ModuleOperator(_Blocks):
+    """Adjointable module map held as one realization matrix per block.
 
-    __slots__ = (
-        "shape",
-        "domain_rank",
-        "codomain_rank",
-        "blocks",
-        "_norm",
-        "_spectrum",
-    )
+    Its uniform norm and Hermitian spectrum are measured on first use and
+    kept.
+    """
 
-    def __init__(
-        self,
-        shape: AlgebraShape,
-        domain_rank: int,
-        codomain_rank: int,
-        blocks: Iterable[np.ndarray],
-    ):
-        domain_rank = int(domain_rank)
-        codomain_rank = int(codomain_rank)
-        if domain_rank < 1 or codomain_rank < 1:
-            raise ShapeMismatch("operator ranks must be positive")
-        blocks = tuple(_freeze(b) for b in blocks)
-        if len(blocks) != shape.block_count:
-            raise ShapeMismatch(
-                f"expected {shape.block_count} realization blocks, got {len(blocks)}"
-            )
-        for n, blk in zip(shape, blocks):
-            want = (n * domain_rank, n * codomain_rank)
-            if blk.shape != want:
-                raise ShapeMismatch(f"realization shaped {blk.shape}, expected {want}")
-        self.shape = shape
-        self.domain_rank = domain_rank
-        self.codomain_rank = codomain_rank
-        self.blocks = blocks
-        self._norm: float | None = None
-        self._spectrum: tuple | None = None
+    _norm: float | None = None
+    _spectrum: tuple | None = None
 
-    @classmethod
-    def _fresh(
-        cls,
-        shape: AlgebraShape,
-        domain_rank: int,
-        codomain_rank: int,
-        blocks: Iterable[np.ndarray],
-    ) -> "ModuleOperator":
-        """Trusted constructor for freshly computed realizations of the
-        right shapes: adopted in place, neither copied nor checked."""
-        out = cls.__new__(cls)
-        out.shape = shape
-        out.domain_rank = domain_rank
-        out.codomain_rank = codomain_rank
-        out.blocks = _adopt(blocks)
-        out._norm = None
-        out._spectrum = None
-        return out
+    @staticmethod
+    def _block_shape(n: int, domain_rank: int, codomain_rank: int) -> tuple[int, int]:
+        return (n * domain_rank, n * codomain_rank)
+
+    @property
+    def domain_rank(self) -> int:
+        return self.dims[0]
+
+    @property
+    def codomain_rank(self) -> int:
+        return self.dims[1]
 
     # -- constructors -------------------------------------------------
 
@@ -169,18 +126,7 @@ class ModuleOperator:
             blocks.append(blk)
         return cls(shape, d, c, blocks)
 
-    @classmethod
-    def identity(cls, shape: AlgebraShape, rank: int) -> "ModuleOperator":
-        return cls(shape, rank, rank, [np.eye(n * rank, dtype=complex) for n in shape])
-
-    @classmethod
-    def zero(cls, shape: AlgebraShape, domain_rank: int, codomain_rank: int) -> "ModuleOperator":
-        return cls(
-            shape,
-            domain_rank,
-            codomain_rank,
-            [np.zeros((n * domain_rank, n * codomain_rank), dtype=complex) for n in shape],
-        )
+    identity = classmethod(_identity)
 
     # -- structure ----------------------------------------------------
 
@@ -200,12 +146,8 @@ class ModuleOperator:
 
     def adjoint(self) -> "ModuleOperator":
         """Conjugate transpose of every realization block, exactly."""
-        return ModuleOperator._fresh(
-            self.shape,
-            self.codomain_rank,
-            self.domain_rank,
-            [np.conjugate(b.T, order="C") for b in self.blocks],
-        )
+        blocks = [np.conjugate(b.T, order="C") for b in self.blocks]
+        return ModuleOperator._fresh(self.shape, self.dims[::-1], blocks)
 
     # -- action and composition ---------------------------------------
 
@@ -217,7 +159,7 @@ class ModuleOperator:
             )
         return ModuleVector._fresh(
             self.shape,
-            self.codomain_rank,
+            (self.codomain_rank,),
             [s @ b for s, b in zip(x.stacks, self.blocks)],
         )
 
@@ -245,44 +187,9 @@ class ModuleOperator:
             )
         return ModuleOperator._fresh(
             self.shape,
-            self.domain_rank,
-            other.codomain_rank,
+            (self.domain_rank, other.codomain_rank),
             [a @ b for a, b in zip(self.blocks, other.blocks)],
         )
-
-    def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
-        self._check_same_dims(other)
-        return ModuleOperator._fresh(
-            self.shape,
-            self.domain_rank,
-            self.codomain_rank,
-            [a + b for a, b in zip(self.blocks, other.blocks)],
-        )
-
-    def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
-        self._check_same_dims(other)
-        return ModuleOperator._fresh(
-            self.shape,
-            self.domain_rank,
-            self.codomain_rank,
-            [a - b for a, b in zip(self.blocks, other.blocks)],
-        )
-
-    def scale(self, c: complex) -> "ModuleOperator":
-        return ModuleOperator._fresh(
-            self.shape,
-            self.domain_rank,
-            self.codomain_rank,
-            [c * b for b in self.blocks],
-        )
-
-    def _check_same_dims(self, other: "ModuleOperator") -> None:
-        _check_same_shape(self.shape, other.shape)
-        if (self.domain_rank, self.codomain_rank) != (
-            other.domain_rank,
-            other.codomain_rank,
-        ):
-            raise ShapeMismatch("operator dimensions differ")
 
     # -- norms and spectral operations ----------------------------------
 
@@ -301,10 +208,7 @@ class ModuleOperator:
         singular value is at least `RANK_FLOOR`.
         """
         return ModuleOperator._fresh(
-            self.shape,
-            self.codomain_rank,
-            self.domain_rank,
-            _each(_pseudoinverses(rel_tol), self.blocks),
+            self.shape, self.dims[::-1], _each(_pseudoinverses(rel_tol), self.blocks)
         )
 
     def inverse(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
@@ -314,12 +218,7 @@ class ModuleOperator:
         for k, svals in enumerate(singular_values_each(self.blocks)):
             if svals[-1] <= rank_cutoff(svals[0], rel_tol):
                 raise InvertibilityError(f"block {k} is numerically singular")
-        return ModuleOperator._fresh(
-            self.shape,
-            self.domain_rank,
-            self.codomain_rank,
-            _each(np.linalg.inv, self.blocks),
-        )
+        return self._like(_each(np.linalg.inv, self.blocks))
 
     def range_projection(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Self-adjoint idempotent projecting onto the range of this operator.
@@ -335,7 +234,7 @@ class ModuleOperator:
             vr = vh[keep].conj().T
             blocks.append(_hermitize(vr @ vr.conj().T))
         return ModuleOperator._fresh(
-            self.shape, self.codomain_rank, self.codomain_rank, blocks
+            self.shape, (self.codomain_rank, self.codomain_rank), blocks
         )
 
     def rank_profile(self, rel_tol: float = TOL_RANK) -> tuple[int, ...]:
@@ -368,9 +267,7 @@ class ModuleOperator:
         for lam, vecs in self.hermitian_spectrum():
             lam = np.clip(lam, 0.0, None)
             blocks.append(_hermitize((vecs * np.sqrt(lam)) @ vecs.conj().T))
-        return ModuleOperator._fresh(
-            self.shape, self.domain_rank, self.codomain_rank, blocks
-        )
+        return self._like(blocks)
 
     def positivity(self, tol_psd: float = TOL_PSD) -> PositivityVerdict:
         """Positivity as an operator: every realization block PSD."""

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import TOL_PSD, TOL_RANK, rank_cutoff, slack
+from .algebra import TOL_PSD, TOL_RANK, psd_verdicts, rank_cutoff, slack
 from .duality import (
     canonical_k_dual,
     coisometry_transport,
@@ -222,15 +222,20 @@ def _order_probe(
 ) -> tuple[bool, float, float | None]:
     """Whether S - c|K|^2 is positive at c = lower_c (1 - 1e-9) and, when
     lower_c > 1e-5, not positive at c = 2 lower_c; with the minimum
-    eigenvalue at each scale probed (None for the second when skipped)."""
-    below = (s_op - abs_sq.scale(lower_c * (1.0 - 1e-9))).positivity(tol_psd=tol_psd)
-    if lower_c <= 1e-5:
+    eigenvalue at each scale probed (None for the second when skipped).
+    Both scales are decided by one `psd_verdicts` call."""
+    scales = [lower_c * (1.0 - 1e-9)]
+    if lower_c > 1e-5:
+        scales.append(lower_c * 2.0)
+    below, *above = psd_verdicts(
+        [(s_op - abs_sq.scale(c)).blocks for c in scales], tol_psd=tol_psd
+    )
+    if not above:
         return below.is_positive, below.min_eigenvalue, None
-    above = (s_op - abs_sq.scale(lower_c * 2.0)).positivity(tol_psd=tol_psd)
     return (
-        below.is_positive and not above.is_positive,
+        below.is_positive and not above[0].is_positive,
         below.min_eigenvalue,
-        above.min_eigenvalue,
+        above[0].min_eigenvalue,
     )
 
 

@@ -215,3 +215,64 @@ def test_stacked_hermitian_kernels_match_numpy_bitwise():
         assert not vecs.flags.writeable
     for lam, h in zip(eigvalsh_each(herm), herm):
         assert lam.tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+
+def _public_constructions(shape, entry):
+    """Each public constructor of a block kind, on blocks holding `entry`."""
+    mat = np.eye(2, dtype=complex)
+    mat[0, 1] = entry
+    return {
+        "element": lambda: kg.AlgebraElement(shape, [mat]),
+        "vector": lambda: kg.ModuleVector(shape, 1, [mat]),
+        "operator": lambda: kg.ModuleOperator(shape, 1, 1, [mat]),
+    }
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["element", "vector", "operator"])
+def test_public_construction_rejects_non_finite_entries(kind, entry):
+    shape = kg.AlgebraShape((2,))
+    with pytest.raises(ValueError, match="block 0 has a non-finite entry"):
+        _public_constructions(shape, entry)[kind]()
+    _public_constructions(shape, 1.0)[kind]()
+
+
+def test_the_three_kinds_share_one_blockwise_arithmetic():
+    rng = np.random.default_rng(13)
+    shape = kg.AlgebraShape((2, 1))
+    a, b = random_element(rng, shape), random_element(rng, shape)
+    x = kg.ModuleVector.from_components([a, b])
+    y = kg.ModuleVector.from_components([b, a])
+    f = kg.ModuleOperator.from_coeffs([[a, b]])
+    g = kg.ModuleOperator.from_coeffs([[b, a]])
+    for p, q in ((a, b), (x, y), (f, g)):
+        for got, want in (
+            (p + q, [u + v for u, v in zip(p.blocks, q.blocks)]),
+            (p - q, [u - v for u, v in zip(p.blocks, q.blocks)]),
+            (-p, [-u for u in p.blocks]),
+            (p.scale(2.0 - 1.0j), [(2.0 - 1.0j) * u for u in p.blocks]),
+        ):
+            assert type(got) is type(p) and got.dims == p.dims
+            assert [u.tobytes() for u in got.blocks] == [u.tobytes() for u in want]
+    assert x.stacks is x.blocks
+    # operands of another kind or other dims do not combine
+    for p, q in ((a, x), (x, kg.ModuleVector.zero(shape, 3)), (f, f.adjoint())):
+        with pytest.raises(kg.ShapeMismatch):
+            p + q  # noqa: B018 - the addition itself must raise
+    with pytest.raises(kg.ShapeMismatch):
+        kg.ModuleOperator.zero(shape, 0, 1)
+
+
+def test_psd_verdicts_are_bitwise_the_separate_verdicts():
+    rng = np.random.default_rng(14)
+    lists = [
+        [psd_element(rng, kg.AlgebraShape((2, 3))).blocks[k] for k in range(2)],
+        [hermitian_element(rng, kg.AlgebraShape((3, 2))).blocks[k] for k in range(2)],
+        [np.zeros((2, 2), dtype=complex)],
+        list(random_element(rng, kg.AlgebraShape((2,))).blocks),
+    ]
+    together = kg.algebra.psd_verdicts(lists, tol_psd=1e-9)
+    for verdict, blocks in zip(together, lists, strict=True):
+        alone = kg.psd_verdict(blocks, tol_psd=1e-9)
+        assert repr(verdict) == repr(alone)
+        assert verdict.min_eigenvalue.hex() == alone.min_eigenvalue.hex()

@@ -32,6 +32,13 @@ def test_round_trip_is_bitwise():
         assert np.array_equal(a, b)
 
 
+def test_a_cyclic_tree_still_raises():
+    tree = {"version": "1"}
+    tree["self"] = tree
+    with pytest.raises(RecursionError):
+        kg.document_to_json(tree)
+
+
 def test_serialization_is_deterministic():
     _, first = _document_text()
     _, second = _document_text()

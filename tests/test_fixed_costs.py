@@ -191,6 +191,18 @@ def test_a_dual_pair_is_measured_once(svd_calls):
     assert svd_calls["svd"] == 1
 
 
+def test_a_k_g_frame_report_is_kept_per_reference_and_cutoff():
+    shape, frame, k_op = pinned_example()
+    first = kg.is_kg_frame(frame, k_op)
+    assert kg.is_kg_frame(frame, k_op) is first
+    assert kg.is_kg_frame(frame, k_op, rel_tol=1e-10) is first
+    # another cutoff, or another reference operator, is decided afresh
+    coarse = kg.is_kg_frame(frame, k_op, rel_tol=1e-6)
+    twin = kg.is_kg_frame(frame, kg.ModuleOperator(shape, 2, 2, k_op.blocks))
+    for report in (coarse, twin):
+        assert report is not first and report.lower_c == first.lower_c
+
+
 def test_the_square_operator_is_built_once_per_basis():
     shape, frame, _ = pinned_example()
     basis = kg.canonical_basis(shape, 2, (1, 1))

@@ -33,6 +33,29 @@ def test_bound_witnesses_saturate_their_bounds():
         assert num / den == pytest.approx(value, rel=1e-9)
 
 
+def test_bound_witnesses_are_built_when_first_read(monkeypatch):
+    _, frame, _ = pinned_example()
+    embed = kg.gframes.embed_direction
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return embed(*args)
+
+    monkeypatch.setattr(kg.gframes, "embed_direction", counting)
+    bounds = kg.optimal_g_bounds(frame)
+    assert not calls
+    low = bounds.witness_low
+    assert bounds.witness_low is low and len(calls) == 1
+    spectrum = frame.frame_operator().hermitian_spectrum()
+    for witness, block, column in (
+        (low, bounds.lower_block, 0),
+        (bounds.witness_high, bounds.upper_block, -1),
+    ):
+        want = embed(frame.shape, frame.domain_rank, block, spectrum[block][1][:, column])
+        assert [s.tobytes() for s in witness.stacks] == [s.tobytes() for s in want.stacks]
+
+
 def test_analysis_synthesis_adjoint_pair():
     rng = np.random.default_rng(40)
     inst = generate(draw_spec("generic", 40))

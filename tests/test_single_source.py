@@ -4,7 +4,8 @@ fixed floor is algebra.INCLUSION_TOL.  Only the three decision inputs
 (tol_eq, tol_psd, rel_tol) are tolerance parameters; every other
 threshold is a module constant, and the suite hands the decision inputs
 to every call that takes one.  The suite's one seed rule is
-suite.Trial.seed."""
+suite.Trial.seed.  Blocks are copied (`_freeze`) and adopted (`_adopt`)
+only by the block core, algebra._Blocks."""
 
 import ast
 import inspect
@@ -296,3 +297,51 @@ def test_the_seed_guards_see_a_second_rule():
         (6, "Trial.seed"),
     ]
     assert _check_id_literals(text) == ["suite.py:3: 'synthesis_bound' in _check_x"]
+
+
+# -- the block core: the one construction and adoption path ---------------
+
+ADOPTION = {"_freeze", "_adopt"}
+CORE_SITES = {("algebra.py", "_Blocks.__init__"), ("algebra.py", "_Blocks._fresh")}
+
+
+def _adoption_sites(text):
+    """(line, innermost function) of every reference to `_freeze` or
+    `_adopt` in `text`, imports included ("" outside any function)."""
+    tree = ast.parse(text)
+    scopes = {id(node): scope for node, scope in _inside_functions(tree)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.alias):
+            names = {node.name, node.asname}
+        else:
+            continue
+        if names & ADOPTION:
+            sites.append((node.lineno, scopes.get(id(node), "")))
+    return sorted(sites)
+
+
+def test_only_the_block_core_copies_and_adopts_blocks():
+    sites = {
+        (path.name, scope)
+        for path in sorted(SOURCE.glob("*.py"))
+        for _, scope in _adoption_sites(path.read_text())
+    }
+    assert sites == CORE_SITES
+
+
+def test_the_core_guard_sees_a_second_adoption_path():
+    text = (
+        "from .algebra import _adopt, _freeze as freeze\n"
+        "class ModuleVector:\n"
+        "    @classmethod\n"
+        "    def _fresh(cls, shape, rank, stacks):\n"
+        "        return algebra._adopt(stacks)\n"
+        "    def __init__(self, shape, rank, stacks):\n"
+        "        self.stacks = tuple(freeze(s) for s in stacks)\n"
+    )
+    assert _adoption_sites(text) == [(1, ""), (1, ""), (5, "ModuleVector._fresh")]
