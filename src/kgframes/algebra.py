@@ -227,6 +227,13 @@ def psd_verdict(
     return psd_verdicts([blocks], tol_psd=tol_psd)[0]
 
 
+def _positive(dims: Iterable[int]) -> tuple[int, ...]:
+    dims = tuple(map(int, dims))
+    if any(d < 1 for d in dims):
+        raise ShapeMismatch(f"dimensions must be positive, got {dims}")
+    return dims
+
+
 # One shared tuple per distinct dims: a block object holds no dims tuple of
 # its own, so it costs no more memory, and no more objects for the cyclic
 # garbage collector to count, than separate int fields would.
@@ -246,19 +253,18 @@ class _Blocks:
     into a read-only complex C-ordered array (`_freeze`) and checks the
     dims, the block count, each block's shape and that every entry is
     finite.  Results computed from blocks are fresh arrays of that kind
-    already, so they go through the trusted `_fresh`, which adopts them
-    in place (`_adopt`) with no copy and no check.  Sums, differences,
-    negatives and scalings are blockwise, between operands of one shape
-    and equal dims.
+    already, and so are the blocks `zero` and `identity` make once their
+    dims pass the check; they go through the trusted `_fresh`, which
+    adopts them in place (`_adopt`) with no copy and no check.  Sums,
+    differences, negatives and scalings are blockwise, between operands
+    of one shape and equal dims.
     """
 
     __slots__ = ("shape", "dims", "blocks")
 
     def __init__(self, shape: AlgebraShape, *args):
         *dims, blocks = args
-        dims = tuple(map(int, dims))
-        if any(d < 1 for d in dims):
-            raise ShapeMismatch(f"dimensions must be positive, got {dims}")
+        dims = _positive(dims)
         blocks = tuple(_freeze(b) for b in blocks)
         if len(blocks) != shape.block_count:
             raise ShapeMismatch(
@@ -292,9 +298,10 @@ class _Blocks:
 
     @classmethod
     def zero(cls, shape: AlgebraShape, *dims: int):
-        return cls(
+        dims = _positive(dims)
+        return cls._fresh(
             shape,
-            *dims,
+            dims,
             [np.zeros(cls._block_shape(n, *dims), dtype=complex) for n in shape],
         )
 
@@ -321,10 +328,10 @@ class _Blocks:
 def _identity(cls, shape: AlgebraShape, *rank: int):
     """The identity matrix on every block: the unit element, or the
     identity operator from rank r onto rank r."""
-    dims = rank * 2
-    return cls(
+    dims = _positive(rank * 2)
+    return cls._fresh(
         shape,
-        *dims,
+        dims,
         [np.eye(*cls._block_shape(n, *dims), dtype=complex) for n in shape],
     )
 

@@ -158,18 +158,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_dual(args: argparse.Namespace) -> int:
     if args.recheck:
         return _recheck_dual(args)
+    reference = "reference" if args.reference is None else args.reference
+    tol_eq = TOL_EQ if args.tol_eq is None else args.tol_eq
+    rel_tol = TOL_RANK if args.tol_rank is None else args.tol_rank
     doc = _load_instance(args.input)
-    k_op = _get_reference(doc, args.reference)
+    k_op = _get_reference(doc, reference)
     if k_op is None:
         print(
-            f"no operator named {args.reference!r} in the document; "
+            f"no operator named {reference!r} in the document; "
             "a dual needs a reference operator",
             file=sys.stderr,
         )
         return EXIT_ERROR
-    tol_eq = TOL_EQ if args.tol_eq is None else args.tol_eq
     try:
-        result = canonical_k_dual(doc.frame, k_op, tol_eq=tol_eq, rel_tol=args.tol_rank)
+        result = canonical_k_dual(doc.frame, k_op, tol_eq=tol_eq, rel_tol=rel_tol)
     except DualityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -188,7 +190,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     payload = build_certificate(
-        doc, args.reference, result.frame, result.certificate, tol_eq
+        doc, reference, result.frame, result.certificate, tol_eq
     )
     _write_text(args.output, document_to_json(payload))
     return EXIT_OK
@@ -196,7 +198,15 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 def _recheck_dual(args: argparse.Namespace) -> int:
     """Recompute a certificate's residual; judge it at the recorded tol_eq
-    unless --tol-eq is given, and refuse a certificate recording no dual."""
+    unless --tol-eq is given, and refuse a certificate recording no dual.
+    A flag that a re-check would ignore is refused."""
+    for flag, value, why in (
+        ("-o", args.output, "a re-check writes no certificate"),
+        ("--reference", args.reference, "the certificate names its reference"),
+        ("--tol-rank", args.tol_rank, "a re-check builds no dual"),
+    ):
+        if value is not None:
+            raise ValueError(f"--recheck takes no {flag}: {why}")
     cert_doc = parse_certificate(_read_text(args.input))
     doc = cert_doc.instance
     k_op = _get_reference(doc, cert_doc.reference)
@@ -231,15 +241,8 @@ def _parse_max_dims(text: str) -> Caps:
         numbers = [int(p) for p in parts]
     except ValueError:
         raise ValueError("--max-dims entries must be integers") from None
-    if len(numbers) == 4:
-        numbers.append(Caps().max_codomain_rank)
-    return Caps(
-        max_blocks=numbers[0],
-        max_block_dim=numbers[1],
-        max_module_rank=numbers[2],
-        max_members=numbers[3],
-        max_codomain_rank=numbers[4],
-    )
+    # an absent fifth entry keeps the default codomain-rank cap
+    return Caps(*numbers)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -336,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-verify a previously emitted dual-certificate document",
     )
     _add_tolerance_flags(p_dual)
-    # an absent --tol-eq means TOL_EQ for a new dual, the recorded one on --recheck
-    p_dual.set_defaults(fn=_cmd_dual, tol_eq=None)
+    # absent, --reference, --tol-eq and --tol-rank mean their defaults for a
+    # new dual; --recheck takes the recorded tol_eq and refuses the others
+    p_dual.set_defaults(fn=_cmd_dual, reference=None, tol_eq=None, tol_rank=None)
 
     p_verify = sub.add_parser(
         "verify",

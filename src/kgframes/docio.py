@@ -66,6 +66,14 @@ def _check_real(value, path: str) -> None:
         _fail(path, "expected a finite number")
 
 
+def _check_positive_int(value, path: str) -> None:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        path,
+        "expected a positive integer",
+    )
+
+
 def _check_matrix(payload, n: int, path: str) -> None:
     _require(_is_sequence(payload, n), path, f"expected {n} rows")
     for r, row in enumerate(payload):
@@ -163,16 +171,8 @@ def operator_from_payload(shape: AlgebraShape, payload, path: str) -> ModuleOper
         _require(key in payload, path, f"missing field {key!r}")
     d = payload["domain_rank"]
     c = payload["codomain_rank"]
-    _require(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 1,
-        f"{path}.domain_rank",
-        "expected a positive integer",
-    )
-    _require(
-        isinstance(c, int) and not isinstance(c, bool) and c >= 1,
-        f"{path}.codomain_rank",
-        "expected a positive integer",
-    )
+    _check_positive_int(d, f"{path}.domain_rank")
+    _check_positive_int(c, f"{path}.codomain_rank")
     coeffs = payload["coeffs"]
     _require(
         isinstance(coeffs, (list, tuple)) and len(coeffs) == d,
@@ -275,18 +275,10 @@ def _instance_from(payload, root: str) -> InstanceDocument:
         "expected a non-empty list of block sizes",
     )
     for k, n in enumerate(sizes):
-        _require(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-            f"{root}.algebra.blocks[{k}]",
-            "expected a positive integer",
-        )
+        _check_positive_int(n, f"{root}.algebra.blocks[{k}]")
     shape = AlgebraShape(tuple(int(n) for n in sizes))
     rank = payload.get("module_rank")
-    _require(
-        isinstance(rank, int) and not isinstance(rank, bool) and rank >= 1,
-        f"{root}.module_rank",
-        "expected a positive integer",
-    )
+    _check_positive_int(rank, f"{root}.module_rank")
     frame = _members_from(shape, rank, payload.get("frame"), f"{root}.frame")
     operators: dict[str, ModuleOperator] = {}
     ops_payload = payload.get("operators", {})

@@ -23,7 +23,13 @@ from .algebra import (
     spectral_norms,
 )
 from .errors import CommutationError, DualityError, IsometryError, ShapeMismatch
-from .gframes import GFrame, _check_square_on_domain, g_operator, optimal_g_bounds
+from .gframes import (
+    GFrame,
+    _check_square_on_domain,
+    _member_sum_blocks,
+    g_operator,
+    optimal_g_bounds,
+)
 from .kganalysis import KGFrameReport, is_kg_frame
 from .operators import (
     TOL_EQ,
@@ -64,18 +70,6 @@ class DualCertificate:
     construction: str
 
 
-def _dual_sum_blocks(gamma: GFrame, xi: GFrame) -> list[np.ndarray]:
-    """Realization blocks of the sum over i of (apply X_i, then adjoint(F_i))."""
-    blocks = []
-    for k in range(gamma.shape.block_count):
-        acc = None
-        for g_mem, x_mem in zip(gamma.members, xi.members):
-            term = x_mem.blocks[k] @ g_mem.blocks[k].conj().T
-            acc = term if acc is None else acc + term
-        blocks.append(acc)
-    return blocks
-
-
 def verify_k_dual(
     gamma: GFrame,
     xi: GFrame,
@@ -90,12 +84,12 @@ def verify_k_dual(
     """
     _check_same_index_structure(gamma, xi)
     _check_square_on_domain(gamma, k_op)
-    residual = gamma._dual_residuals.get((xi, k_op))
-    if residual is None:
-        gap = k_op._like(
-            [acc - k for acc, k in zip(_dual_sum_blocks(gamma, xi), k_op.blocks)]
-        )
-        residual = gamma._dual_residuals[(xi, k_op)] = uniform_norms(gap, k_op)[0]
+    residual = gamma.kept(
+        ("dual_residual", xi, k_op),
+        lambda: uniform_norms(
+            k_op._like(_member_sum_blocks(xi, gamma)) - k_op, k_op
+        )[0],
+    )
     k_norm = k_op.uniform_norm()
     return DualCertificate(
         residual=residual,

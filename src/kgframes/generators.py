@@ -9,7 +9,7 @@ never change what gets generated.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -45,13 +45,7 @@ class Caps:
     max_codomain_rank: int = 3
 
     def validate(self) -> None:
-        if min(
-            self.max_blocks,
-            self.max_block_dim,
-            self.max_module_rank,
-            self.max_members,
-            self.max_codomain_rank,
-        ) < 1:
+        if min(astuple(self)) < 1:
             raise InfeasibleSpec("all size caps must be at least 1")
 
 
@@ -144,7 +138,7 @@ def random_operator(
     for n in shape:
         scale = 1.0 / np.sqrt(n * max(domain_rank, codomain_rank))
         blocks.append(scale * _gaussian_matrix(rng, n * domain_rank, n * codomain_rank))
-    return ModuleOperator(shape, domain_rank, codomain_rank, blocks)
+    return ModuleOperator._fresh(shape, (domain_rank, codomain_rank), blocks)
 
 
 def clamped_square(
@@ -156,57 +150,28 @@ def clamped_square(
         g = _gaussian_matrix(rng, n * rank, n * rank)
         u, svals, vh = np.linalg.svd(g)
         blocks.append(u @ np.diag(np.clip(svals, 0.5, 2.0)) @ vh)
-    return ModuleOperator(shape, rank, rank, blocks)
+    return ModuleOperator._fresh(shape, (rank, rank), blocks)
 
 
-def unitary_square(
-    rng: np.random.Generator, shape: AlgebraShape, rank: int
-) -> ModuleOperator:
-    blocks = []
-    for n in shape:
-        q, _ = np.linalg.qr(_gaussian_matrix(rng, n * rank, n * rank))
-        blocks.append(q)
-    return ModuleOperator(shape, rank, rank, blocks)
-
-
-def orthonormal_columns_operator(
+def random_isometry(
     rng: np.random.Generator,
     shape: AlgebraShape,
     domain_rank: int,
     codomain_rank: int,
 ) -> ModuleOperator:
-    """Operator whose composite with its adjoint (adjoint first) is the
-    identity on the codomain; needs codomain_rank <= domain_rank."""
-    if codomain_rank > domain_rank:
-        raise InfeasibleSpec(
-            "orthonormal-column construction needs codomain rank <= domain rank"
-        )
+    """Per block the Q factor of a complex-Gaussian draw: orthonormal
+    columns, so the composite with the adjoint (adjoint first) is the
+    identity on the codomain; unitary when the ranks are equal.  With
+    domain_rank < codomain_rank, the adjoint of that draw with the ranks
+    swapped: the composite (adjoint second) is the identity on the domain.
+    """
+    if domain_rank < codomain_rank:
+        return random_isometry(rng, shape, codomain_rank, domain_rank).adjoint()
     blocks = []
     for n in shape:
-        g = _gaussian_matrix(rng, n * domain_rank, n * codomain_rank)
-        q, _ = np.linalg.qr(g)
-        blocks.append(q)
-    return ModuleOperator(shape, domain_rank, codomain_rank, blocks)
-
-
-def orthonormal_rows_operator(
-    rng: np.random.Generator,
-    shape: AlgebraShape,
-    domain_rank: int,
-    codomain_rank: int,
-) -> ModuleOperator:
-    """Operator whose composite with its adjoint (adjoint second) is the
-    identity on the domain; needs domain_rank <= codomain_rank."""
-    if domain_rank > codomain_rank:
-        raise InfeasibleSpec(
-            "orthonormal-row construction needs domain rank <= codomain rank"
-        )
-    blocks = []
-    for n in shape:
-        g = _gaussian_matrix(rng, n * codomain_rank, n * domain_rank)
-        q, _ = np.linalg.qr(g)
-        blocks.append(q.conj().T)
-    return ModuleOperator(shape, domain_rank, codomain_rank, blocks)
+        q, _ = np.linalg.qr(_gaussian_matrix(rng, n * domain_rank, n * codomain_rank))
+        blocks.append(np.ascontiguousarray(q))
+    return ModuleOperator._fresh(shape, (domain_rank, codomain_rank), blocks)
 
 
 def random_vector(
@@ -215,7 +180,7 @@ def random_vector(
     stacks = [
         _gaussian_matrix(rng, n, n * rank) / np.sqrt(n * rank) for n in shape
     ]
-    return ModuleVector(shape, rank, stacks)
+    return ModuleVector._fresh(shape, (rank,), stacks)
 
 
 def polynomial_in(rng: np.random.Generator, k_op: ModuleOperator) -> ModuleOperator:
@@ -251,7 +216,7 @@ def module_projector(shape: AlgebraShape, rank: int, kill_component: int) -> Mod
         lo = n * kill_component
         mat[lo : lo + n, lo : lo + n] = 0.0
         blocks.append(mat)
-    return ModuleOperator(shape, rank, rank, blocks)
+    return ModuleOperator._fresh(shape, (rank, rank), blocks)
 
 
 # -- instance assembly ---------------------------------------------------
@@ -279,7 +244,7 @@ def generate(spec: GenSpec, caps: Caps | None = None) -> Instance:
         k_op = clamped_square(rng, shape, d)
 
     elif spec.kind == "tight":
-        w_op = unitary_square(rng, shape, d)
+        w_op = random_isometry(rng, shape, d, d)
         root = float(np.sqrt(spec.tight_scale))
         adj = w_op.adjoint()
         members = [adj.then(e).scale(root) for e in basis.members]
@@ -316,15 +281,15 @@ def generate(spec: GenSpec, caps: Caps | None = None) -> Instance:
         frame = GFrame(members)
         k_op = clamped_square(rng, shape, d)
         new_rank = max(1, d - 1)
-        extras["w"] = orthonormal_columns_operator(rng, shape, d, new_rank)
-        extras["q_unitary"] = unitary_square(rng, shape, d)
+        extras["w"] = random_isometry(rng, shape, d, new_rank)
+        extras["q_unitary"] = random_isometry(rng, shape, d, d)
 
     elif spec.kind == "isometry":
         c = spec.codomain_ranks[0]
         members = [random_operator(rng, shape, d, c) for _ in spec.codomain_ranks]
         frame = GFrame(members)
         k_op = clamped_square(rng, shape, d)
-        extras["w"] = orthonormal_rows_operator(rng, shape, c, c + 1)
+        extras["w"] = random_isometry(rng, shape, c, c + 1)
 
     elif spec.kind == "commuting_pair":
         members = [random_operator(rng, shape, d, c) for c in spec.codomain_ranks]
@@ -353,7 +318,7 @@ def generate(spec: GenSpec, caps: Caps | None = None) -> Instance:
             for vecs, cuts in zip(eigvecs, cuts_per_block):
                 cols = vecs[:, cuts[j] : cuts[j + 1]]
                 blocks.append(cols @ cols.conj().T)
-            members.append(ModuleOperator(shape, d, d, blocks))
+            members.append(ModuleOperator._fresh(shape, (d, d), blocks))
         frame = GFrame(members)
         k_op = clamped_square(rng, shape, d)
 

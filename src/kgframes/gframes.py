@@ -6,16 +6,18 @@ concatenates the member images at those offsets; its adjoint is the
 synthesis operator; their composite is the frame operator.
 
 A family and its members are immutable, so a family keeps what it was
-measured to be: its analysis and frame operators, its basis validation,
-its square operator against each basis, its duality residual against
-each (dual family, K) pair and its K-g-frame report for each
-(K, rel_tol) pair.
+measured to be in one table, behind `GFrame.kept`: its analysis and
+frame operators, its basis validation, its square operator against each
+basis, its duality residual against each (dual family, K) pair and its
+K-g-frame report for each (K, rel_tol) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,18 +62,7 @@ def embed_direction(
 class GFrame:
     """Indexed family of operators out of one common domain module."""
 
-    __slots__ = (
-        "shape",
-        "domain_rank",
-        "members",
-        "offsets",
-        "_analysis",
-        "_frame_op",
-        "_basis_report",
-        "_g_operators",
-        "_dual_residuals",
-        "_kg_reports",
-    )
+    __slots__ = ("shape", "domain_rank", "members", "offsets", "_kept")
 
     def __init__(self, members: Iterable[ModuleOperator]):
         members = tuple(members)
@@ -83,21 +74,23 @@ class GFrame:
             _check_same_shape(shape, mem.shape)
             if mem.domain_rank != domain_rank:
                 raise ShapeMismatch("frame members must share their domain rank")
-        offsets = [0]
-        for mem in members:
-            offsets.append(offsets[-1] + mem.codomain_rank)
         self.shape = shape
         self.domain_rank = domain_rank
         self.members = members
-        self.offsets = tuple(offsets)
-        self._analysis: ModuleOperator | None = None
-        self._frame_op: ModuleOperator | None = None
-        self._basis_report: BasisAxiomReport | None = None
-        # keyed by the basis, and by the (dual family, K) pair, as objects
-        self._g_operators: dict[GFrame, ModuleOperator] = {}
-        self._dual_residuals: dict[tuple[GFrame, ModuleOperator], float] = {}
-        # `kganalysis.is_kg_frame` reports, keyed by the (K, rel_tol) pair
-        self._kg_reports: dict[tuple[ModuleOperator, float], object] = {}
+        self.offsets = (0, *accumulate(mem.codomain_rank for mem in members))
+        self._kept: dict = {}
+
+    def kept(self, key, measure):
+        """What `measure()` returns, measured on the first call with `key`.
+
+        The one table of what was measured of this family: a key names a
+        measurement and its operands, which are immutable and compared as
+        objects, e.g. ("g_operator", basis) or ("kg_report", K, rel_tol).
+        """
+        result = self._kept.get(key)
+        if result is None:
+            result = self._kept[key] = measure()
+        return result
 
     # -- structure ----------------------------------------------------
 
@@ -128,15 +121,17 @@ class GFrame:
 
     def analysis_operator(self) -> ModuleOperator:
         """Stacks all member images: A^d -> A^{sum c_i}."""
-        if self._analysis is None:
-            blocks = [
-                np.hstack([mem.blocks[k] for mem in self.members])
-                for k in range(self.shape.block_count)
-            ]
-            self._analysis = ModuleOperator._fresh(
-                self.shape, (self.domain_rank, self.total_codomain_rank), blocks
-            )
-        return self._analysis
+        return self.kept(
+            "analysis",
+            lambda: ModuleOperator._fresh(
+                self.shape,
+                (self.domain_rank, self.total_codomain_rank),
+                [
+                    np.hstack([mem.blocks[k] for mem in self.members])
+                    for k in range(self.shape.block_count)
+                ],
+            ),
+        )
 
     def synthesis_operator(self) -> ModuleOperator:
         """Adjoint of the analysis operator: A^{sum c_i} -> A^d."""
@@ -144,14 +139,14 @@ class GFrame:
 
     def frame_operator(self) -> ModuleOperator:
         """Sum of adjoint(F_i) after F_i; Hermitian PSD by construction."""
-        if self._frame_op is None:
-            analysis = self.analysis_operator()
-            self._frame_op = ModuleOperator._fresh(
+        return self.kept(
+            "frame_operator",
+            lambda: ModuleOperator._fresh(
                 self.shape,
                 (self.domain_rank, self.domain_rank),
-                [_hermitize(b @ b.conj().T) for b in analysis.blocks],
-            )
-        return self._frame_op
+                [_hermitize(b @ b.conj().T) for b in self.analysis_operator().blocks],
+            ),
+        )
 
     def analysis(self, x: ModuleVector) -> ModuleVector:
         return self.analysis_operator().apply(x)
@@ -168,6 +163,21 @@ def _check_square_on_domain(frame: GFrame, k_op: ModuleOperator) -> None:
             f"got {k_op.domain_rank}->{k_op.codomain_rank} over domain rank "
             f"{frame.domain_rank}"
         )
+
+
+def _member_sum_blocks(a: GFrame, b: GFrame) -> list[np.ndarray]:
+    """Realization blocks of the sum over i of (apply A_i, then adjoint(B_i)),
+    accumulated from the first term.
+
+    Against a basis E it is the square operator of a frame F (A = E, B = F)
+    and the completeness sum of E (A = B = E); for a K-dual pair it is the
+    side of the duality identity that should reproduce K (A = X, B = F).
+    """
+    pairs = list(zip(a.members, b.members))
+    return [
+        reduce(add, (x.blocks[k] @ y.blocks[k].conj().T for x, y in pairs))
+        for k in range(a.shape.block_count)
+    ]
 
 
 def frame_distance(a: GFrame, b: GFrame) -> float:
@@ -277,11 +287,9 @@ def canonical_basis(
     members = []
     offset = 0
     for c in partition:
-        blocks = [
-            np.eye(n * rank, dtype=complex)[:, n * offset : n * (offset + c)]
-            for n in shape
-        ]
-        members.append(ModuleOperator(shape, rank, c, blocks))
+        # the identity's columns n*offset onward: ones where i = j + n*offset
+        blocks = [np.eye(n * rank, n * c, -n * offset, dtype=complex) for n in shape]
+        members.append(ModuleOperator._fresh(shape, (rank, c), blocks))
         offset += c
     return GFrame(members)
 
@@ -327,21 +335,13 @@ def basis_axiom_report(
     for i, ei in enumerate(basis.members):
         for j, ej in enumerate(basis.members):
             # realization of: apply adjoint(E_i), then E_j
-            for k, n in enumerate(shape):
+            for k in range(shape.block_count):
                 got = ei.blocks[k].conj().T @ ej.blocks[k]
-                want = (
-                    np.eye(n * ei.codomain_rank, dtype=complex)
-                    if i == j
-                    else np.zeros_like(got)
-                )
-                delta_gaps.append(got - want)
+                delta_gaps.append(got - np.eye(len(got)) if i == j else got)
     delta_violation = max([0.0, *spectral_norms(delta_gaps)])
-    parseval_gaps = []
-    for k, n in enumerate(shape):
-        acc = np.zeros((n * basis.domain_rank,) * 2, dtype=complex)
-        for mem in basis.members:
-            acc = acc + mem.blocks[k] @ mem.blocks[k].conj().T
-        parseval_gaps.append(acc - np.eye(acc.shape[0]))
+    parseval_gaps = [
+        acc - np.eye(acc.shape[0]) for acc in _member_sum_blocks(basis, basis)
+    ]
     parseval_violation = max([0.0, *spectral_norms(parseval_gaps)])
     if probes is None:
         probes = _default_probes(shape, basis.domain_rank)
@@ -371,9 +371,7 @@ def validate_basis(basis: GFrame) -> BasisAxiomReport:
     The report is kept on the immutable family, so a family is measured
     once; a family that fails raises on every call.
     """
-    report = basis._basis_report
-    if report is None:
-        report = basis._basis_report = basis_axiom_report(basis, probes=())
+    report = basis.kept("basis_report", lambda: basis_axiom_report(basis, probes=()))
     if not (report.delta_ok and report.parseval_ok):
         raise BasisError(
             "candidate family fails the orthonormal-basis axioms: "
@@ -403,21 +401,14 @@ def g_operator(frame: GFrame, basis: GFrame) -> ModuleOperator:
     Q after its own adjoint reproduces the frame operator.  Both families
     are immutable, so Q is built once per basis and kept on the frame.
     """
-    q_op = frame._g_operators.get(basis)
-    if q_op is not None:
-        return q_op
-    _check_index_compatible(frame, basis)
-    validate_basis(basis)
-    shape = frame.shape
-    d = frame.domain_rank
-    blocks = []
-    for k, n in enumerate(shape):
-        acc = np.zeros((n * d, n * d), dtype=complex)
-        for mem, e in zip(frame.members, basis.members):
-            acc = acc + e.blocks[k] @ mem.blocks[k].conj().T
-        blocks.append(acc)
-    q_op = frame._g_operators[basis] = ModuleOperator._fresh(shape, (d, d), blocks)
-    return q_op
+
+    def build() -> ModuleOperator:
+        _check_index_compatible(frame, basis)
+        validate_basis(basis)
+        blocks = _member_sum_blocks(basis, frame)
+        return ModuleOperator._fresh(frame.shape, (frame.domain_rank,) * 2, blocks)
+
+    return frame.kept(("g_operator", basis), build)
 
 
 def reconstruct_from_g_operator(q_op: ModuleOperator, basis: GFrame) -> GFrame:

@@ -11,6 +11,8 @@ counterexample vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -74,11 +76,8 @@ def _certificate_from_direction(
 ) -> CounterexampleCertificate:
     x = embed_direction(frame.shape, frame.domain_rank, block, direction)
     k_image = k_op.adjoint().apply(x)
-    acc = None
-    for mem in frame.members:
-        image = mem.apply(x)
-        val = inner(image, image)
-        acc = val if acc is None else acc + val
+    images = [mem.apply(x) for mem in frame.members]
+    acc = reduce(add, (inner(y, y) for y in images))
     # both seminorms of the block from one kernel call
     lhs, rhs = spectral_norms(
         [inner(k_image, k_image).blocks[block], acc.blocks[block]]
@@ -102,11 +101,8 @@ def reevaluate_counterexample(
     x = cert.vector
     k_image = k_op.adjoint().apply_componentwise(x)
     lhs = inner(k_image, k_image).seminorm(cert.block)
-    acc = None
-    for mem in frame.members:
-        image = mem.apply_componentwise(x)
-        val = inner(image, image)
-        acc = val if acc is None else acc + val
+    images = [mem.apply_componentwise(x) for mem in frame.members]
+    acc = reduce(add, (inner(y, y) for y in images))
     rhs = acc.seminorm(cert.block)
     margin = lhs - rhs
     return {
@@ -148,9 +144,12 @@ def is_kg_frame(
     and K are immutable, so a pair is decided once.
     """
     _check_square_on_domain(frame, k_op)
-    report = frame._kg_reports.get((k_op, rel_tol))
-    if report is not None:
-        return report
+    return frame.kept(
+        ("kg_report", k_op, rel_tol), lambda: _kg_report(frame, k_op, rel_tol)
+    )
+
+
+def _kg_report(frame: GFrame, k_op: ModuleOperator, rel_tol: float) -> KGFrameReport:
     s_op = frame.frame_operator()
     m_blocks = _absolute_square_blocks(k_op)
     pencil = pencil_over_spectrum(m_blocks, s_op.hermitian_spectrum(), rel_tol)
@@ -182,14 +181,13 @@ def is_kg_frame(
             counterexample = _certificate_from_direction(
                 frame, k_op, pencil.block, pencil.direction
             )
-    report = frame._kg_reports[(k_op, rel_tol)] = KGFrameReport(
+    return KGFrameReport(
         is_k_g_frame=verdict,
         lower_c=scale,
         degenerate_zero_k=degenerate,
         pencil=pencil,
         counterexample=counterexample,
     )
-    return report
 
 
 def kg_via_range(
@@ -385,10 +383,7 @@ def resolution_check(
             raise ShapeMismatch("resolution members must be square")
     _check_square_on_domain(psi, k_op)
     ident = ModuleOperator.identity(psi.shape, psi.domain_rank)
-    total = psi.members[0]
-    for mem in psi.members[1:]:
-        total = total + mem
-    sum_residual = (total - ident).uniform_norm()
+    sum_residual = (reduce(add, psi.members) - ident).uniform_norm()
     if sum_residual > RESOLUTION_SUM_TOL:
         return ResolutionReport(
             sums_to_identity=False,

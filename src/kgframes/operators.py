@@ -388,15 +388,24 @@ def pencil_over_spectrum(
         leak > slack(INCLUSION_TOL, m_scales[k])
         for leak, (k, _, _) in zip(leak_norms, kept)
     )
+    # a compressed block with a non-finite entry has overflowed: no
+    # eigensolver sees it, its quotient is inf, and its direction is the
+    # kept eigenvector of N with the largest diagonal entry
+    finite = [bool(np.isfinite(g).all()) for g in compressed_g]
+    spectra = iter(eigh_each([g for g, ok in zip(compressed_g, finite) if ok]))
     worst_quot = -1.0
     worst_block = 0
     worst_direction: np.ndarray | None = None
-    for (k, vr, inv_sqrt), (g_lam, g_vecs) in zip(kept, eigh_each(compressed_g)):
-        quot = max(float(g_lam[-1]), 0.0)
+    for (k, vr, inv_sqrt), g, ok in zip(kept, compressed_g, finite):
+        if ok:
+            g_lam, g_vecs = next(spectra)
+            quot, top = max(float(g_lam[-1]), 0.0), g_vecs[:, -1]
+        else:
+            quot, top = np.inf, np.eye(len(g))[np.argmax(np.diagonal(g).real)]
         if quot > worst_quot:
             worst_quot = quot
             worst_block = k
-            pulled = vr @ (inv_sqrt * g_vecs[:, -1])
+            pulled = vr @ (inv_sqrt * top)
             norm = float(np.linalg.norm(pulled))
             worst_direction = pulled / norm if norm > 0 else None
     return PencilResult(

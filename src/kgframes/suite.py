@@ -15,7 +15,7 @@ re-evaluate identically through an independent arithmetic path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,7 @@ from .generators import (
     draw_spec,
     generate,
     module_projector,
-    orthonormal_rows_operator,
+    random_isometry,
     random_vector,
     spec_to_dict,
     sub_seed,
@@ -549,7 +549,7 @@ def _orthogonal_complement_square(
             + 1j * rng.standard_normal((null_basis.shape[1], dim))
         ) / np.sqrt(dim)
         blocks.append(null_basis @ mix)
-    return ModuleOperator(q_op.shape, q_op.domain_rank, q_op.codomain_rank, blocks)
+    return q_op._like(blocks)
 
 
 def _check_zero_overlap(t: Trial) -> TrialOutcome:
@@ -636,13 +636,17 @@ def _check_order_chain(t: Trial) -> TrialOutcome:
         )
         if over is not None:
             measured["lower_overshoot_min_eig"] = over
-    upper_diff = (ident.scale(bounds.upper) - s_op).positivity(tol_psd=tol_psd)
+    scales = [bounds.upper]
+    if bounds.upper > 1e-6:
+        scales.append(bounds.upper * 0.99)
+    upper_diff, *under = psd_verdicts(
+        [(ident.scale(c) - s_op).blocks for c in scales], tol_psd=tol_psd
+    )
     measured["upper_min_eig"] = upper_diff.min_eigenvalue
     ok = ok and upper_diff.is_positive
-    if bounds.upper > 1e-6:
-        under = (ident.scale(bounds.upper * 0.99) - s_op).positivity(tol_psd=tol_psd)
-        measured["upper_undershoot_min_eig"] = under.min_eigenvalue
-        ok = ok and not under.is_positive
+    if under:
+        measured["upper_undershoot_min_eig"] = under[0].min_eigenvalue
+        ok = ok and not under[0].is_positive
     return _outcome(
         ok, measured, "operator order chain violated at the optimal constants", inst
     )
@@ -729,7 +733,7 @@ def _check_isometry_transform(t: Trial) -> TrialOutcome:
     rng = t.rng("per_member")
     c = inst.spec.codomain_ranks[0]
     per_member = [
-        orthonormal_rows_operator(rng, inst.shape, c, c + 2)
+        random_isometry(rng, inst.shape, c, c + 2)
         for _ in inst.frame.members
     ]
     rep_list = isometry_left_transform(
@@ -1164,7 +1168,6 @@ def _jsonable(value):
 
 def result_to_document(result: SuiteResult) -> dict:
     config = result.config
-    caps = config.caps
     doc = {
         "format_version": FORMAT_VERSION,
         "tool": {"name": "kgframes", "version": __version__},
@@ -1176,13 +1179,7 @@ def result_to_document(result: SuiteResult) -> dict:
             "tol_psd": config.tol_psd,
             "tol_rank": config.rel_tol,
         },
-        "caps": {
-            "max_blocks": caps.max_blocks,
-            "max_block_dim": caps.max_block_dim,
-            "max_module_rank": caps.max_module_rank,
-            "max_members": caps.max_members,
-            "max_codomain_rank": caps.max_codomain_rank,
-        },
+        "caps": asdict(config.caps),
         "checks": [
             {
                 "id": rep.check_id,

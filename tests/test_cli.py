@@ -170,6 +170,29 @@ def test_recheck_judges_at_the_recorded_tolerance(certificate, capsys):
     assert "dual: yes  reproduced: yes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [["-o", "out.json"], ["--reference", "reference"], ["--tol-rank", "1e-10"]],
+    ids=["output", "reference", "tol_rank"],
+)
+def test_recheck_refuses_a_flag_it_would_ignore(
+    certificate, flag, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["dual", str(certificate), "--recheck", *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --recheck takes no {flag[0]}: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_dual_flags_given_their_defaults_change_nothing(pinned_doc, certificate):
+    explicit = certificate.with_name("explicit.json")
+    argv = ["dual", str(pinned_doc), "-o", str(explicit)]
+    assert main([*argv, "--reference", "reference", "--tol-rank", "1e-10"]) == 0
+    assert explicit.read_bytes() == certificate.read_bytes()
+
+
 def test_a_reused_parser_carries_nothing_between_commands(
     certificate, pinned_doc, capsys
 ):

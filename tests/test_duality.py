@@ -10,7 +10,7 @@ from kgframes.generators import (
     clamped_square,
     draw_spec,
     generate,
-    orthonormal_rows_operator,
+    random_isometry,
 )
 from helpers import column_member, pinned_example, single_block_shape, square_op
 
@@ -250,7 +250,7 @@ def test_isometry_transform_preserves_bounds():
     inst = generate(draw_spec("isometry", 72))
     rng = np.random.default_rng(73)
     c = inst.frame.codomain_ranks[0]
-    w = orthonormal_rows_operator(rng, inst.shape, c, c + 2)
+    w = random_isometry(rng, inst.shape, c, c + 2)
     report = kg.isometry_left_transform(inst.frame, inst.k_op, w)
     assert report.max_bound_deviation <= 1e-8
     assert report.lower_after == pytest.approx(report.lower_before, abs=1e-8)
@@ -264,7 +264,7 @@ def test_isometry_transform_per_member_list():
     inst = generate(draw_spec("isometry", 74))
     rng = np.random.default_rng(75)
     ws = [
-        orthonormal_rows_operator(rng, inst.shape, c, c + 1)
+        random_isometry(rng, inst.shape, c, c + 1)
         for c in inst.frame.codomain_ranks
     ]
     report = kg.isometry_left_transform(inst.frame, inst.k_op, ws)
@@ -275,7 +275,7 @@ def test_isometry_transform_rejects_non_isometry():
     inst = generate(draw_spec("isometry", 76))
     rng = np.random.default_rng(77)
     c = inst.frame.codomain_ranks[0]
-    w = orthonormal_rows_operator(rng, inst.shape, c, c + 2)
+    w = random_isometry(rng, inst.shape, c, c + 2)
     with pytest.raises(kg.IsometryError):
         kg.isometry_left_transform(inst.frame, inst.k_op, w.scale(1.2))
 
@@ -284,7 +284,7 @@ def test_a_shared_isometry_is_measured_once(monkeypatch):
     inst = generate(draw_spec("isometry", 78))
     rng = np.random.default_rng(79)
     c = inst.frame.codomain_ranks[0]
-    w = orthonormal_rows_operator(rng, inst.shape, c, c + 1)
+    w = random_isometry(rng, inst.shape, c, c + 1)
     measured = []
     norms = duality.spectral_norms
 
@@ -300,7 +300,7 @@ def test_a_shared_isometry_is_measured_once(monkeypatch):
 def test_a_repeated_isometry_still_fails_first_with_its_message():
     shape = kg.AlgebraShape((2,))
     rng = np.random.default_rng(80)
-    good = orthonormal_rows_operator(rng, shape, 1, 2)
+    good = random_isometry(rng, shape, 1, 2)
     bad = good.scale(1.5)
     worse = good.scale(3.0)
     blk = bad.blocks[0]

@@ -14,14 +14,12 @@ from kgframes.generators import (
     draw_spec,
     generate,
     module_projector,
-    orthonormal_columns_operator,
-    orthonormal_rows_operator,
     polynomial_in,
+    random_isometry,
     random_operator,
     spec_from_dict,
     spec_to_dict,
     sub_seed,
-    unitary_square,
 )
 
 
@@ -47,6 +45,53 @@ def test_generation_is_deterministic_bitwise():
     for kind in ("generic", "tight", "coisometry", "resolution"):
         spec = draw_spec(kind, 42)
         assert _instances_equal(generate(spec), generate(spec))
+
+
+def test_generation_builds_every_block_on_the_trusted_path(monkeypatch):
+    # fresh arrays are adopted without the public copy and finiteness scan,
+    # so each must already be read-only, complex and C-ordered
+    public = []
+    init = kg.algebra._Blocks.__init__
+
+    def counting(self, *args):
+        public.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(kg.algebra._Blocks, "__init__", counting)
+    made = []
+    for kind in KINDS:
+        for seed in range(6):
+            split = seed % 2 == 0 and kind not in ("isometry", "resolution")
+            spec = draw_spec(kind, seed, basis_compatible=split, k_inside=seed % 3 == 0)
+            inst = generate(spec)
+            made += [*inst.frame.members, inst.k_op]
+            made += list(inst.basis.members) if inst.basis is not None else []
+            made += [x for x in inst.extras.values() if hasattr(x, "blocks")]
+    made += kg.canonical_basis(kg.AlgebraShape((2, 3)), 4, (1, 3)).members
+    assert public == []
+    for blk in (blk for obj in made for blk in obj.blocks):
+        assert not blk.flags.writeable and blk.flags.c_contiguous
+        assert blk.dtype == complex
+
+
+def test_the_isometry_builder_is_the_q_factor_of_its_draw():
+    shape = kg.AlgebraShape((2, 3))
+    for d, c in ((4, 2), (2, 4), (3, 3)):
+        got = random_isometry(np.random.default_rng(5), shape, d, c)
+        assert got.dims == (d, c)
+        rng = np.random.default_rng(5)
+        rows, cols = max(d, c), min(d, c)
+        for n, blk in zip(shape, got.blocks):
+            draw = rng.standard_normal((n * rows, n * cols))
+            draw = draw + 1j * rng.standard_normal((n * rows, n * cols))
+            q = np.linalg.qr(draw)[0]
+            want = q if d >= c else q.conj().T
+            assert blk.tobytes() == np.ascontiguousarray(want).tobytes()
+    # the rows case is the conjugate transpose of the columns draw
+    rows = random_isometry(np.random.default_rng(6), shape, 2, 4)
+    cols = random_isometry(np.random.default_rng(6), shape, 4, 2)
+    for r_blk, c_blk in zip(rows.blocks, cols.blocks):
+        assert r_blk.tobytes() == np.ascontiguousarray(c_blk.conj().T).tobytes()
 
 
 def test_draw_spec_is_deterministic_and_capped():
@@ -195,15 +240,15 @@ def test_building_blocks():
     svals = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in sq.blocks])
     assert svals.min() >= 0.5 - 1e-12 and svals.max() <= 2.0 + 1e-12
 
-    u = unitary_square(rng, shape, 2)
+    u = random_isometry(rng, shape, 2, 2)
     ident = kg.ModuleOperator.identity(shape, 2)
     assert kg.operator_distance(u.then(u.adjoint()), ident) <= 1e-12
 
-    cols = orthonormal_columns_operator(rng, shape, 4, 2)
+    cols = random_isometry(rng, shape, 4, 2)
     for blk in cols.blocks:
         assert np.allclose(blk.conj().T @ blk, np.eye(blk.shape[1]), atol=1e-12)
 
-    rows = orthonormal_rows_operator(rng, shape, 2, 4)
+    rows = random_isometry(rng, shape, 2, 4)
     for blk in rows.blocks:
         assert np.allclose(blk @ blk.conj().T, np.eye(blk.shape[0]), atol=1e-12)
 

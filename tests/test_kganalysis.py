@@ -50,6 +50,22 @@ def test_an_overflowing_quotient_is_refused_along_the_pencil_direction():
     assert cert.margin > 0 and cert.admissible_ceiling == 0.0
 
 
+def test_an_overflowing_compressed_pencil_is_refused_with_a_finite_witness():
+    # S = 1e-200 I and |K|^2 = diag(1e200, 0) on one 2x2 block: the
+    # compressed pencil overflows, which an eigensolver would turn to NaN
+    shape = kg.AlgebraShape((2,))
+    frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [1e-100 * np.eye(2)])])
+    k_op = kg.ModuleOperator(shape, 1, 1, [np.diag([1e100, 0.0])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = kg.is_kg_frame(frame, k_op)
+    assert report.pencil.included and report.pencil.quotient == np.inf
+    assert not report.is_k_g_frame and report.lower_c == 0.0
+    cert = report.counterexample
+    assert all(np.isfinite(blk).all() for blk in cert.vector.blocks)
+    assert np.isfinite([cert.lhs_seminorm, cert.rhs_seminorm, cert.margin]).all()
+    assert cert.margin > 0 and cert.admissible_ceiling == 0.0
+
+
 def test_identity_reference_recovers_frame_bound():
     _, frame, _ = pinned_example()
     shape = single_block_shape()

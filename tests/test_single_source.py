@@ -5,7 +5,8 @@ fixed floor is algebra.INCLUSION_TOL.  Only the three decision inputs
 threshold is a module constant, and the suite hands the decision inputs
 to every call that takes one.  The suite's one seed rule is
 suite.Trial.seed.  Blocks are copied (`_freeze`) and adopted (`_adopt`)
-only by the block core, algebra._Blocks."""
+only by the block core, algebra._Blocks, and what is measured of a frame
+is kept in one table that only gframes.py touches."""
 
 import ast
 import inspect
@@ -345,3 +346,49 @@ def test_the_core_guard_sees_a_second_adoption_path():
         "        self.stacks = tuple(freeze(s) for s in stacks)\n"
     )
     assert _adoption_sites(text) == [(1, ""), (1, ""), (5, "ModuleVector._fresh")]
+
+
+# -- the frame's kept table: one owner ---------------------------------------
+
+KEPT_TABLE = "_kept"
+
+
+def _kept_table_sites(text):
+    """Line of every reference to the frame's kept table in `text`: the
+    attribute, or its name as a string (a slot, a getattr)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Attribute) and node.attr == KEPT_TABLE)
+        or (isinstance(node, ast.Constant) and node.value == KEPT_TABLE)
+    )
+
+
+def test_only_gframes_touches_the_frames_kept_table():
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "gframes.py"
+        for line in _kept_table_sites(path.read_text())
+    ]
+    assert not hits, "kept table touched outside gframes.py:\n" + "\n".join(hits)
+    assert _kept_table_sites((SOURCE / "gframes.py").read_text())
+    # everything measured of a frame lives in that one table
+    assert gframes.GFrame.__slots__ == (
+        "shape",
+        "domain_rank",
+        "members",
+        "offsets",
+        KEPT_TABLE,
+    )
+
+
+def test_the_kept_table_guard_sees_a_second_site():
+    text = (
+        "def is_kg_frame(frame, k_op, rel_tol):\n"
+        "    key = ('kg_report', k_op, rel_tol)\n"
+        "    report = frame._kept.get(key)\n"
+        "    getattr(frame, '_kept')[key] = report\n"
+        "    return frame.kept(key, lambda: report)\n"
+    )
+    assert _kept_table_sites(text) == [3, 4]
