@@ -9,12 +9,15 @@ decision keeps a singular value (or eigenvalue) above `rank_cutoff`.  A
 threshold verdict (positivity, the Hermitian test, the leak out of a
 range, a dual, tightness or factor residual) passes when its residual
 is at most `slack(tol, scale) = tol * (1 + scale)`, the scale being the
-norm of the operand the residual is measured against.  Three decisions
-take their tolerance as a parameter: the rank cutoff (`rel_tol`), the
-order test (`tol_psd`) and operator identities (`tol_eq`).  Every other
-threshold is a module constant, such as `TOL_HERM` for the Hermitian
-test and `INCLUSION_TOL` for the floor of the K-pencil's range-inclusion
-test.
+norm of the operand the residual is measured against.  `within_slack`
+decides such a gate from Frobenius bounds on both norms where they
+settle it, and measures the norms only where the bounds straddle the
+slack, so its verdict is bitwise the one the measured norms give.
+Three decisions take their tolerance as a parameter: the rank cutoff
+(`rel_tol`), the order test (`tol_psd`) and operator identities
+(`tol_eq`).  Every other threshold is a module constant, such as
+`TOL_HERM` for the Hermitian test and `INCLUSION_TOL` for the floor of
+the K-pencil's range-inclusion test.
 
 Blocks are small, so a LAPACK call costs more in overhead than in flops.
 The decomposition kernels here take many matrices at once and make one
@@ -63,6 +66,70 @@ def slack(tol: float, scale: float) -> float:
     """The one residual gate: a residual measured against an operand of
     norm `scale` passes when it is at most this."""
     return tol * (1.0 + scale)
+
+
+# Relative room each Frobenius bound of `within_slack` is widened by: far
+# above the rounding of a sum of squares or of LAPACK's largest singular
+# value, far below any slack a gate grants.
+BRACKET_ROOM = 1e-6
+
+
+def _bracket(side) -> tuple[float, float, list]:
+    """(lower, upper) bounds on the largest spectral norm of one side of a
+    gate, with the matrices that may attain it.
+
+    A float is a norm already measured.  A matrix of Frobenius norm f has
+    f / sqrt(min(m, n)) <= |A|_2 <= f, widened by BRACKET_ROOM; its squared
+    Frobenius norm is trusted from RANK_FLOOR up, where no square has lost
+    precision to underflow, and below infinity.  A zero matrix is exact.
+    Any other matrix (non-finite, overflowing or underflowing) gives NaN
+    bounds, which settle nothing, and the whole side is measured.
+    """
+    if isinstance(side, float):
+        return side, side, []
+    low = high = 0.0
+    highs = []
+    for mat in side:
+        f2 = float(np.vdot(mat, mat).real)
+        if RANK_FLOOR <= f2 < np.inf:
+            f = f2**0.5
+            mat_low = f * (1.0 - BRACKET_ROOM) / min(mat.shape) ** 0.5
+            mat_high = f * (1.0 + BRACKET_ROOM)
+        elif f2 == 0.0 and not mat.any():
+            mat_low = mat_high = 0.0
+        else:
+            return np.nan, np.nan, list(side)
+        low = max(low, mat_low)
+        high = max(high, mat_high)
+        highs.append(mat_high)
+    # a matrix whose upper bound is below another's lower bound is not the max
+    return low, high, [mat for mat, mat_high in zip(side, highs) if mat_high >= low]
+
+
+def within_slack(residuals, tol: float, scales) -> bool:
+    """The residual gate, max |R|_2 <= slack(tol, max |T|_2), over matrices
+    R of `residuals` and T of `scales`: bitwise the verdict of their
+    `spectral_norms`.  Either side may instead be a float, a norm already
+    measured.
+
+    Frobenius bounds settle the gate when the residual's upper bound
+    passes the slack at the scale's lower bound, or its lower bound fails
+    it at the scale's upper bound; this needs only that `slack` grows with
+    its scale.  Otherwise one `spectral_norms` call measures the matrices
+    still unknown.  A side with a non-finite matrix is measured whole, as
+    `spectral_norms` alone would: an infinite entry gives a NaN norm, which
+    fails the gate, and a NaN entry raises LinAlgError.
+    """
+    r_low, r_high, r_mats = _bracket(residuals)
+    s_low, s_high, s_mats = _bracket(scales)
+    if r_high <= slack(tol, s_low):
+        return True
+    if r_low > slack(tol, s_high):
+        return False
+    norms = spectral_norms(r_mats + s_mats)
+    r_norm = max(norms[: len(r_mats)], default=r_low)
+    s_norm = max(norms[len(r_mats) :], default=s_low)
+    return r_norm <= slack(tol, s_norm)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ never change what gets generated.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,15 @@ class Caps:
     max_codomain_rank: int = 3
 
     def validate(self) -> None:
-        if min(astuple(self)) < 1:
+        # the caps read directly: dataclasses.astuple deep-copies them
+        smallest = min(
+            self.max_blocks,
+            self.max_block_dim,
+            self.max_module_rank,
+            self.max_members,
+            self.max_codomain_rank,
+        )
+        if smallest < 1:
             raise InfeasibleSpec("all size caps must be at least 1")
 
 

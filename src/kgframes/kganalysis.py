@@ -23,6 +23,7 @@ from .algebra import (
     singular_values_each,
     slack,
     spectral_norms,
+    within_slack,
 )
 from .errors import ShapeMismatch
 from .gframes import (
@@ -40,6 +41,7 @@ from .operators import (
     PencilResult,
     _absolute_square_blocks,
     _hermitize,
+    _norm_or_blocks,
     douglas,
     pencil_over_spectrum,
     psd_quotient_max,
@@ -238,14 +240,15 @@ def tightness_scale(
         den += float(np.sum(np.abs(m_blk) ** 2))
     if den == 0.0:
         scale = 1.0
-        residual = s_norm = s_op.uniform_norm()
+        residual = s_op.uniform_norm()
     else:
         scale = max(num / den, 0.0)
         gap = s_op._like(
             [scale * m_blk - s_blk for m_blk, s_blk in zip(m_blocks, s_op.blocks)]
         )
-        residual, s_norm = uniform_norms(gap, s_op)
-    return bool(residual <= slack(tol_eq, s_norm) and scale > 0.0), scale, residual
+        residual = gap.uniform_norm()
+    tight = within_slack(residual, tol_eq, _norm_or_blocks(s_op))
+    return bool(tight and scale > 0.0), scale, residual
 
 
 def tightness_check(

@@ -41,6 +41,7 @@ from .algebra import (
     singular_values_each,
     slack,
     spectral_norms,
+    within_slack,
 )
 from .errors import InvertibilityError, ShapeMismatch
 from .modules import ModuleVector, inner
@@ -299,6 +300,13 @@ def uniform_norms(*ops: ModuleOperator) -> tuple[float, ...]:
     return tuple(op._norm for op in ops)
 
 
+def _norm_or_blocks(op: ModuleOperator) -> float | tuple[np.ndarray, ...]:
+    """One side of a `within_slack` gate: the operator's kept uniform
+    norm, or else its blocks, whose Frobenius bounds may settle the gate
+    without measuring the norm."""
+    return op.blocks if op._norm is None else op._norm
+
+
 def operator_distance(a: ModuleOperator, b: ModuleOperator) -> float:
     return (a - b).uniform_norm()
 
@@ -348,6 +356,9 @@ def psd_quotient_max(
     return pencil_over_spectrum(m_blocks, n_spectrum, rel_tol)
 
 
+# an overflowing compression is read as a non-finite block, so numpy's
+# overflow and invalid-value warnings would only be noise
+@np.errstate(over="ignore", invalid="ignore")
 def pencil_over_spectrum(
     m_blocks: Sequence[np.ndarray],
     n_spectrum: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -379,15 +390,15 @@ def pencil_over_spectrum(
             _hermitize((inv_sqrt[:, None] * compressed) * inv_sqrt[None, :])
         )
         kept.append((k, vr, inv_sqrt))
-    # one kernel call for both: each leak has the shape of its M block
-    norms = spectral_norms(ms + leaks)
-    m_scales, leak_norms = norms[: len(ms)], norms[len(ms) :]
     # where N vanishes only M = 0 is compatible; elsewhere M must not
-    # leak out of the range of N
-    included = not any(m_scales[k] > INCLUSION_TOL for k in vanished) and not any(
-        leak > slack(INCLUSION_TOL, m_scales[k])
-        for leak, (k, _, _) in zip(leak_norms, kept)
-    )
+    # leak out of the range of N.  Every block is gated, so a NaN block
+    # raises LinAlgError wherever it sits.
+    gates = [within_slack([ms[k]], INCLUSION_TOL, 0.0) for k in vanished]
+    gates += [
+        within_slack([leak], INCLUSION_TOL, [ms[k]])
+        for leak, (k, _, _) in zip(leaks, kept)
+    ]
+    included = all(gates)
     # a compressed block with a non-finite entry has overflowed: no
     # eigensolver sees it, its quotient is inf, and its direction is the
     # kept eigenvector of N with the largest diagonal entry
@@ -465,8 +476,7 @@ def range_included(
         raise ShapeMismatch("operators must share their codomain")
     proj = z_op.range_projection(rel_tol=rel_tol)
     complement = ModuleOperator.identity(t_op.shape, t_op.codomain_rank) - proj
-    t_norm, leak = uniform_norms(t_op, t_op.then(complement))
-    return leak <= slack(tol_eq, t_norm)
+    return within_slack(t_op.then(complement).blocks, tol_eq, _norm_or_blocks(t_op))
 
 
 def douglas(

@@ -285,16 +285,33 @@ def test_a_shared_isometry_is_measured_once(monkeypatch):
     rng = np.random.default_rng(79)
     c = inst.frame.codomain_ranks[0]
     w = random_isometry(rng, inst.shape, c, c + 1)
-    measured = []
-    norms = duality.spectral_norms
+    gated, measured = [], []
+    gate, norms = duality.within_slack, duality.spectral_norms
 
-    def counting(mats):
+    def counting_gate(residuals, tol, scales):
+        gated.append(len(residuals))
+        return gate(residuals, tol, scales)
+
+    def counting_norms(mats):
         measured.append(len(mats))
         return norms(mats)
 
-    monkeypatch.setattr(duality, "spectral_norms", counting)
+    monkeypatch.setattr(duality, "within_slack", counting_gate)
+    monkeypatch.setattr(duality, "spectral_norms", counting_norms)
     kg.isometry_left_transform(inst.frame, inst.k_op, w)
-    assert measured == [inst.shape.block_count]
+    assert gated == [inst.shape.block_count]
+    # an isometry passes on its Frobenius bound: the defect is never measured
+    assert measured == []
+
+
+def test_an_overflowing_isometry_is_refused():
+    # its Gram block overflows to inf, whose SVD gives a NaN defect: the
+    # gate reads that as a failure, not as an isometry
+    shape = kg.AlgebraShape((1,))
+    w = kg.ModuleOperator(shape, 1, 1, [np.array([[1e200]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(kg.IsometryError, match="by nan"):
+            duality._require_isometries([w], adjoint_first=True)
 
 
 def test_a_repeated_isometry_still_fails_first_with_its_message():

@@ -1,5 +1,6 @@
 """Deterministic instance generation: seeding, caps, and family kinds."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -118,6 +119,13 @@ def test_rich_draws_reach_full_rank():
     for seed in range(10):
         spec = draw_spec("generic", seed, rich=True)
         assert sum(spec.codomain_ranks) >= spec.module_rank
+
+
+def test_every_cap_below_one_is_rejected():
+    kg.Caps().validate()
+    for cap in dataclasses.fields(kg.Caps):
+        with pytest.raises(kg.InfeasibleSpec, match="at least 1"):
+            kg.Caps(**{cap.name: 0}).validate()
 
 
 def test_infeasible_specs_are_rejected():

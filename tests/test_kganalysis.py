@@ -1,6 +1,8 @@
 """Frame verdicts relative to a reference operator: bounds, tightness,
 square-root factorization, quotient boundedness, resolutions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,14 +58,32 @@ def test_an_overflowing_compressed_pencil_is_refused_with_a_finite_witness():
     shape = kg.AlgebraShape((2,))
     frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [1e-100 * np.eye(2)])])
     k_op = kg.ModuleOperator(shape, 1, 1, [np.diag([1e100, 0.0])])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is no numpy warning
         report = kg.is_kg_frame(frame, k_op)
     assert report.pencil.included and report.pencil.quotient == np.inf
     assert not report.is_k_g_frame and report.lower_c == 0.0
+    assert np.array_equal(report.pencil.direction, [1.0, 0.0])
     cert = report.counterexample
     assert all(np.isfinite(blk).all() for blk in cert.vector.blocks)
     assert np.isfinite([cert.lhs_seminorm, cert.rhs_seminorm, cert.margin]).all()
     assert cert.margin > 0 and cert.admissible_ceiling == 0.0
+
+
+def test_a_one_by_one_overflowing_pencil_is_refused_without_a_warning():
+    # the pencil above on one 1x1 block: its compression overflows too
+    shape = kg.AlgebraShape((1,))
+    frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [[[1e-100]]])])
+    k_op = kg.ModuleOperator(shape, 1, 1, [[[1e100]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kg.is_kg_frame(frame, k_op)
+    assert report.pencil.included and report.pencil.quotient == np.inf
+    assert not report.is_k_g_frame and report.lower_c == 0.0
+    cert = report.counterexample
+    assert np.array_equal(cert.vector.blocks[0], [[1.0]])
+    assert cert.lhs_seminorm == pytest.approx(1e200, rel=1e-12)
+    assert cert.rhs_seminorm == pytest.approx(1e-200, rel=1e-12)
 
 
 def test_identity_reference_recovers_frame_bound():

@@ -1,5 +1,6 @@
 """Each numerical decision is made in one place: the rank cutoff is
-algebra.rank_cutoff, the residual gate is algebra.slack, and the pencil's
+algebra.rank_cutoff, the residual gate is algebra.slack (which
+algebra.within_slack applies from norm bounds), and the pencil's
 fixed floor is algebra.INCLUSION_TOL.  Only the three decision inputs
 (tol_eq, tol_psd, rel_tol) are tolerance parameters; every other
 threshold is a module constant, and the suite hands the decision inputs
@@ -110,6 +111,9 @@ def _parameters(path):
                     yield node, arg.arg
 
 
+GATE_TOLS = {("algebra.py", "slack", "tol"), ("algebra.py", "within_slack", "tol")}
+
+
 def test_only_the_decision_inputs_are_tolerance_parameters():
     paths = sorted(SOURCE.glob("*.py"))
     assert SOURCE / "algebra.py" in paths
@@ -119,11 +123,14 @@ def test_only_the_decision_inputs_are_tolerance_parameters():
         for node, name in _parameters(path)
         if re.search(r"tol|slack", name)
         and name not in DECISION_INPUTS
-        # the gate itself: its tol is whichever tolerance the caller gates by
-        and (path.name, getattr(node, "name", None), name)
-        != ("algebra.py", "slack", "tol")
+        # the gates themselves: their tol is whichever tolerance the caller
+        # gates by
+        and (path.name, getattr(node, "name", None), name) not in GATE_TOLS
     ]
     assert not knobs, "tolerance parameters:\n" + "\n".join(knobs)
+    for gate in (algebra.slack, algebra.within_slack):
+        tol = inspect.signature(gate).parameters["tol"]
+        assert tol.default is inspect.Parameter.empty, gate.__name__
 
 
 def test_generator_settings_and_thresholds_are_constants():
@@ -138,6 +145,7 @@ def test_generator_settings_and_thresholds_are_constants():
     ]
     for value, expected in (
         (algebra.TOL_HERM, 1e-10),
+        (algebra.BRACKET_ROOM, 1e-6),
         (gframes.BASIS_TOL, 1e-10),
         (gframes.TIGHT_TOL, 1e-8),
         (duality.ISOMETRY_TOL, 1e-10),
