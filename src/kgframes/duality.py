@@ -25,6 +25,7 @@ from .algebra import (
 from .errors import CommutationError, DualityError, IsometryError, ShapeMismatch
 from .gframes import (
     GFrame,
+    _check_index_compatible,
     _check_square_on_domain,
     _member_sum_blocks,
     g_operator,
@@ -52,16 +53,6 @@ SANDWICH_TOL = 1e-10
 ENVELOPE_SLACK = 1e-8
 
 
-def _check_same_index_structure(gamma: GFrame, xi: GFrame) -> None:
-    _check_same_shape(gamma.shape, xi.shape)
-    if gamma.domain_rank != xi.domain_rank:
-        raise ShapeMismatch("families must share their domain rank")
-    if gamma.codomain_ranks != xi.codomain_ranks:
-        raise ShapeMismatch(
-            f"index structures differ: {gamma.codomain_ranks} vs {xi.codomain_ranks}"
-        )
-
-
 @dataclass(frozen=True)
 class DualCertificate:
     """Operator-level residual of the duality identity."""
@@ -83,7 +74,7 @@ def verify_k_dual(
     The residual is kept on the frame, one per (xi, k_op) pair: all three
     are immutable, so a pair is measured once.
     """
-    _check_same_index_structure(gamma, xi)
+    _check_index_compatible(gamma, xi)
     _check_square_on_domain(gamma, k_op)
     residual = gamma.kept(
         ("dual_residual", xi, k_op),
@@ -164,7 +155,7 @@ def dual_via_g_operators(
 ) -> bool:
     """Product route: extract both square operators against the basis and
     test whether the first composed after the adjoint of the second is K."""
-    _check_same_index_structure(gamma, xi)
+    _check_index_compatible(gamma, xi)
     _check_square_on_domain(gamma, k_op)
     q_op = g_operator(gamma, basis)
     p_op = g_operator(xi, basis)
@@ -320,8 +311,8 @@ def zero_overlap_perturbation(
     The overlap predicate measures the composite of the frame's square
     operator after the adjoint of the perturbation's square operator.
     """
-    _check_same_index_structure(gamma, v_dual)
-    _check_same_index_structure(gamma, xi)
+    _check_index_compatible(gamma, v_dual)
+    _check_index_compatible(gamma, xi)
     base = verify_k_dual(gamma, v_dual, k_op, tol_eq=tol_eq)
     if not base.is_dual:
         raise DualityError(

@@ -182,8 +182,7 @@ def _member_sum_blocks(a: GFrame, b: GFrame) -> list[np.ndarray]:
 
 def frame_distance(a: GFrame, b: GFrame) -> float:
     """Largest member-wise uniform-norm difference."""
-    if len(a) != len(b) or a.codomain_ranks != b.codomain_ranks:
-        raise ShapeMismatch("frames have different index structure")
+    _check_index_compatible(a, b)
     return max(uniform_norms(*(x - y for x, y in zip(a.members, b.members))))
 
 
@@ -381,16 +380,15 @@ def validate_basis(basis: GFrame) -> BasisAxiomReport:
     return report
 
 
-def _check_index_compatible(frame: GFrame, basis: GFrame) -> None:
-    _check_same_shape(frame.shape, basis.shape)
-    if frame.domain_rank != basis.domain_rank:
-        raise BasisError(
-            f"domain ranks differ: frame {frame.domain_rank}, basis {basis.domain_rank}"
-        )
-    if frame.codomain_ranks != basis.codomain_ranks:
-        raise BasisError(
-            f"codomain ranks differ: frame {frame.codomain_ranks}, "
-            f"basis {basis.codomain_ranks}"
+def _check_index_compatible(a: GFrame, b: GFrame) -> None:
+    """The one index-structure rule for two families taken together: the
+    same algebra, domain rank and codomain rank member by member."""
+    _check_same_shape(a.shape, b.shape)
+    if a.domain_rank != b.domain_rank:
+        raise ShapeMismatch(f"domain ranks differ: {a.domain_rank} vs {b.domain_rank}")
+    if a.codomain_ranks != b.codomain_ranks:
+        raise ShapeMismatch(
+            f"codomain ranks differ: {a.codomain_ranks} vs {b.codomain_ranks}"
         )
 
 

@@ -5,7 +5,9 @@ adjoint of K) holds for some C > 0 exactly when the absolute square of K
 is majorized by the frame operator S.  The optimal C is the reciprocal
 of the largest quotient of the PSD pencil (KK', S) over the range of S;
 directions outside that range admit no positive C and yield an explicit
-counterexample vector.
+counterexample vector.  The pencil decides that range once, from the kept
+eigendecomposition of S, and its refusal carries the witness direction,
+so a counterexample is built from the decision that refused.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .algebra import (
     TOL_RANK,
-    eigh_each,
     rank_cutoff,
     singular_values_each,
     slack,
@@ -152,37 +153,18 @@ def is_kg_frame(
 
 
 def _kg_report(frame: GFrame, k_op: ModuleOperator, rel_tol: float) -> KGFrameReport:
-    s_op = frame.frame_operator()
-    m_blocks = _absolute_square_blocks(k_op)
-    pencil = pencil_over_spectrum(m_blocks, s_op.hermitian_spectrum(), rel_tol)
+    s_spectrum = frame.frame_operator().hermitian_spectrum()
+    pencil = pencil_over_spectrum(_absolute_square_blocks(k_op), s_spectrum, rel_tol)
     scale = pencil.lower_scale
     degenerate = not any(b.any() for b in k_op.blocks)
     verdict = (pencil.included and scale > 0.0) or degenerate
     counterexample = None
-    if not verdict:
-        if not pencil.included:
-            proj = s_op.range_projection(rel_tol=rel_tol)
-            leaks = []
-            for p_blk, m_blk in zip(proj.blocks, m_blocks):
-                comp = np.eye(p_blk.shape[0]) - p_blk
-                leaks.append(_hermitize(comp @ m_blk @ comp))
-            best_val = -1.0
-            best_block = 0
-            best_vec = None
-            for k, (lam, vecs) in enumerate(eigh_each(leaks)):
-                if float(lam[-1]) > best_val:
-                    best_val = float(lam[-1])
-                    best_block = k
-                    best_vec = vecs[:, -1]
-            counterexample = _certificate_from_direction(
-                frame, k_op, best_block, best_vec
-            )
-        elif pencil.direction is not None:
-            # included, yet the quotient overflowed to inf, so the scale
-            # 1/quotient is 0: the pencil's own direction is the witness
-            counterexample = _certificate_from_direction(
-                frame, k_op, pencil.block, pencil.direction
-            )
+    # refused out of range, or in range with a quotient overflowed to inf
+    # (scale 1/quotient = 0): either way the pencil's direction is the witness
+    if not verdict and pencil.direction is not None:
+        counterexample = _certificate_from_direction(
+            frame, k_op, pencil.block, pencil.direction
+        )
     return KGFrameReport(
         is_k_g_frame=verdict,
         lower_c=scale,

@@ -79,6 +79,12 @@ def _pseudoinverses(rel_tol: float):
     return decompose
 
 
+def _largest(norms: list[float]) -> float:
+    """The uniform norm from its block norms: NaN when any block's is (the
+    SVD of an infinite entry), wherever that block sits."""
+    return np.nan if any(n != n for n in norms) else max(norms)
+
+
 class ModuleOperator(_Blocks):
     """Adjointable module map held as one realization matrix per block.
 
@@ -197,7 +203,7 @@ class ModuleOperator(_Blocks):
     def uniform_norm(self) -> float:
         """Largest spectral norm over the realization blocks, computed once."""
         if self._norm is None:
-            self._norm = max(spectral_norms(self.blocks))
+            self._norm = _largest(spectral_norms(self.blocks))
         return self._norm
 
     def pinv(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
@@ -295,7 +301,7 @@ def uniform_norms(*ops: ModuleOperator) -> tuple[float, ...]:
     start = 0
     for op in todo:
         stop = start + len(op.blocks)
-        op._norm = max(norms[start:stop])
+        op._norm = _largest(norms[start:stop])
         start = stop
     return tuple(op._norm for op in ops)
 
@@ -318,8 +324,12 @@ def operator_distance(a: ModuleOperator, b: ModuleOperator) -> float:
 class PencilResult:
     """Extremal quotient of two PSD forms over the range of the second.
 
-    `direction` is a unit vector in the range of N (on block `block`)
-    attaining the extremal quotient, or None when N vanishes everywhere.
+    When `included`, `direction` is a unit vector in the range of N (on
+    block `block`) attaining the extremal quotient, or None when N
+    vanishes everywhere.  When not, they are the refusal witness, built
+    from the same decomposition of N that decided the range: the top
+    eigenvector of M compressed to the complement of the kept range of N
+    (all of a vanished block), on the block where that is largest.
     """
 
     quotient: float
@@ -372,9 +382,11 @@ def pencil_over_spectrum(
     """
     ms = [_hermitize(m) for m in m_blocks]
     gap_ratio = np.inf
-    vanished, leaks, kept, compressed_g = [], [], [], []
+    vanished, leaks, kept, compressed_g, ranges = [], [], [], [], []
     for k, (m, (lam, vecs)) in enumerate(zip(ms, n_spectrum)):
         keep = lam > rank_cutoff(lam[-1], rel_tol)
+        vr = vecs[:, keep]
+        ranges.append(vr)
         if not keep.any():
             vanished.append(k)
             continue
@@ -382,21 +394,20 @@ def pencil_over_spectrum(
         largest_dropped = float(np.abs(dropped).max()) if dropped.size else 0.0
         if largest_dropped > 0:
             gap_ratio = min(gap_ratio, float(lam[keep].min()) / largest_dropped)
-        vr = vecs[:, keep]
         compressed = vr.conj().T @ m @ vr
         leaks.append(m - vr @ compressed @ vr.conj().T)
         inv_sqrt = 1.0 / np.sqrt(lam[keep])
         compressed_g.append(
             _hermitize((inv_sqrt[:, None] * compressed) * inv_sqrt[None, :])
         )
-        kept.append((k, vr, inv_sqrt))
+        kept.append((k, inv_sqrt))
     # where N vanishes only M = 0 is compatible; elsewhere M must not
     # leak out of the range of N.  Every block is gated, so a NaN block
     # raises LinAlgError wherever it sits.
     gates = [within_slack([ms[k]], INCLUSION_TOL, 0.0) for k in vanished]
     gates += [
         within_slack([leak], INCLUSION_TOL, [ms[k]])
-        for leak, (k, _, _) in zip(leaks, kept)
+        for leak, (k, _) in zip(leaks, kept)
     ]
     included = all(gates)
     # a compressed block with a non-finite entry has overflowed: no
@@ -407,7 +418,7 @@ def pencil_over_spectrum(
     worst_quot = -1.0
     worst_block = 0
     worst_direction: np.ndarray | None = None
-    for (k, vr, inv_sqrt), g, ok in zip(kept, compressed_g, finite):
+    for (k, inv_sqrt), g, ok in zip(kept, compressed_g, finite):
         if ok:
             g_lam, g_vecs = next(spectra)
             quot, top = max(float(g_lam[-1]), 0.0), g_vecs[:, -1]
@@ -416,9 +427,23 @@ def pencil_over_spectrum(
         if quot > worst_quot:
             worst_quot = quot
             worst_block = k
-            pulled = vr @ (inv_sqrt * top)
+            pulled = ranges[k] @ (inv_sqrt * top)
             norm = float(np.linalg.norm(pulled))
             worst_direction = pulled / norm if norm > 0 else None
+    if not included:
+        # the witness: the top eigenvector of M compressed to the complement
+        # of the range of N kept above (all of a vanished block), on the
+        # block where that compression is largest
+        complements = [np.eye(len(vr)) - vr @ vr.conj().T for vr in ranges]
+        leaked = eigh_each([_hermitize(q @ m @ q) for q, m in zip(complements, ms)])
+        worst_leak = -1.0
+        for k, (lam, vecs) in enumerate(leaked):
+            if float(lam[-1]) > worst_leak:
+                worst_leak = float(lam[-1])
+                worst_block = k
+                # a copy: a view would keep the whole stack of eigenvectors
+                # alive for as long as the result is kept
+                worst_direction = vecs[:, -1].copy()
     return PencilResult(
         quotient=max(worst_quot, 0.0),
         included=included,

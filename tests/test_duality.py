@@ -115,6 +115,18 @@ def test_nonzero_overlap_breaks_duality_by_the_same_amount():
     assert report.agree
 
 
+def test_every_family_pairing_refuses_a_mismatched_index_structure_alike():
+    shape, basis, gamma, k_op, dual = _overlap_fixture()
+    short = kg.GFrame([column_member(shape, 1, 0)])
+    for pairing in (
+        lambda: kg.g_operator(short, basis),
+        lambda: kg.dual_via_g_operators(gamma, short, basis, k_op),
+        lambda: kg.zero_overlap_perturbation(gamma, dual, short, basis, k_op),
+    ):
+        with pytest.raises(kg.ShapeMismatch, match="codomain ranks differ"):
+            pairing()
+
+
 def test_perturbation_requires_a_dual_to_start_from():
     shape, basis, gamma, k_op, dual = _overlap_fixture()
     not_dual = kg.GFrame([m.scale(3.0) for m in dual.members])

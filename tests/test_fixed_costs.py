@@ -212,5 +212,5 @@ def test_the_square_operator_is_built_once_per_basis():
     twin = kg.canonical_basis(shape, 2, (1, 1))
     again = kg.g_operator(pair, twin)
     assert again is not q_op and np.array_equal(again.blocks[0], q_op.blocks[0])
-    with pytest.raises(kg.BasisError):
+    with pytest.raises(kg.ShapeMismatch):
         kg.g_operator(frame, basis)

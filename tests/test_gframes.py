@@ -110,6 +110,19 @@ def test_completeness():
     assert bounds.lower == 0.0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="completeness cuts singular values, the frame verdict their squares",
+)
+def test_completeness_and_the_frame_verdict_agree_near_the_cutoff():
+    # in finite dimensions a complete family is a frame; singular values
+    # (1, 1e-7) keep full rank under the cutoff, eigenvalues (1, 1e-14) do not
+    shape = kg.AlgebraShape((2,))
+    frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [np.diag([1.0, 1e-7])])])
+    assert kg.is_g_complete(frame) == kg.optimal_g_bounds(frame).is_frame()
+
+
 def test_frame_requires_uniform_domain():
     shape = single_block_shape()
     a = column_member(shape, 1, 0)
@@ -203,7 +216,7 @@ def test_g_operator_rejects_mismatched_basis():
     inst = generate(draw_spec("generic", 45, basis_compatible=True))
     d = inst.frame.domain_rank
     wrong = kg.canonical_basis(inst.shape, d + 1, (d + 1,))
-    with pytest.raises(kg.BasisError):
+    with pytest.raises(kg.ShapeMismatch):
         kg.g_operator(inst.frame, wrong)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kgframes as kg
+from kgframes.algebra import TOL_RANK, rank_cutoff
 from kgframes.generators import clamped_square, draw_spec, generate
 from kgframes.kganalysis import tightness_scale
 from helpers import column_member, pinned_example, single_block_shape, square_op
@@ -84,6 +85,36 @@ def test_a_one_by_one_overflowing_pencil_is_refused_without_a_warning():
     assert np.array_equal(cert.vector.blocks[0], [[1.0]])
     assert cert.lhs_seminorm == pytest.approx(1e200, rel=1e-12)
     assert cert.rhs_seminorm == pytest.approx(1e-200, rel=1e-12)
+
+
+def test_a_refusal_at_the_rank_cutoff_gets_a_witness_from_the_kept_range():
+    # S = Q diag(1, delta) Q* with delta straddling the cutoff 1e-10, and K
+    # the projector onto delta's eigenvector: where eigenvalues and singular
+    # values of S keep different ranks (441 of these 4,000 draws), a range
+    # decided apart from the pencil's gives a witness refuting nothing
+    rng = np.random.default_rng(1)
+    shape = kg.AlgebraShape((1,))
+    ceilings = []
+    for _ in range(4000):
+        q = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        delta = 1e-10 * (1.0 + rng.uniform(-3e-6, 3e-6))
+        f = q * np.array([1.0, np.sqrt(delta)])
+        s = f @ f.conj().T
+        s = (s + s.conj().T) / 2.0
+        lam = np.linalg.eigvalsh(s)
+        svals = np.linalg.svd(s, compute_uv=False)
+        if np.sum(lam > rank_cutoff(lam[-1], TOL_RANK)) == np.sum(
+            svals > rank_cutoff(svals[0], TOL_RANK)
+        ):
+            continue
+        v = q[:, 1:]
+        report = kg.is_kg_frame(
+            kg.GFrame([kg.ModuleOperator(shape, 2, 2, [f])]),
+            kg.ModuleOperator(shape, 2, 2, [v @ v.conj().T]),
+        )
+        if not report.is_k_g_frame:
+            ceilings.append(report.counterexample.admissible_ceiling)
+    assert ceilings and max(ceilings) <= 1e-8
 
 
 def test_identity_reference_recovers_frame_bound():

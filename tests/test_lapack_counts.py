@@ -15,13 +15,16 @@ import numpy as np
 import pytest
 
 import kgframes as kg
-from kgframes.generators import clamped_square, random_operator
+from kgframes.generators import clamped_square, module_projector, random_operator
 
 # ceilings on the instances below: two block shapes (4x4 twice, 2x2 once);
 # an entry point absent from a table has no ceiling on that call
 CEILINGS = {
     # the pencil's inclusion gates settle on Frobenius bounds
     "is_kg_frame": {"eigh": 4, "svd": 0},
+    # the pencil's own decomposition builds the refusal witness: no range
+    # projector, one SVD for the witness's two seminorms
+    "is_kg_frame/refused": {"eigh": 6, "svd": 1},
     "canonical_k_dual": {"eigh": 4, "pinv": 0, "svd": 8},
     "tightness_check": {"eigh": 0, "pinv": 0, "svd": 6},
     "kg_via_range": {"eigh": 0, "pinv": 0, "svd": 2},
@@ -38,6 +41,14 @@ def _instance():
     shape = kg.AlgebraShape((2, 1, 2))
     frame = kg.GFrame([random_operator(rng, shape, 2, 1) for _ in range(6)])
     return frame, clamped_square(rng, shape, 2)
+
+
+def _refused_instance():
+    """The instance above with module component 1 killed before each member,
+    so K leaks out of the range of the frame operator."""
+    frame, k_op = _instance()
+    kill = module_projector(frame.shape, 2, 1)
+    return kg.GFrame([kill.then(mem) for mem in frame.members]), k_op
 
 
 def _basis_instance():
@@ -67,6 +78,8 @@ def linalg_counts(monkeypatch):
 
 
 def _args(entry: str) -> tuple:
+    if entry == "is_kg_frame/refused":
+        return _refused_instance()
     if entry == "kg_via_range":
         return _basis_instance()
     if entry == "validate_basis":
@@ -83,7 +96,7 @@ def _args(entry: str) -> tuple:
 def test_entry_point_lapack_counts(entry, linalg_counts):
     args = _args(entry)
     linalg_counts.clear()
-    getattr(kg, entry)(*args)
+    getattr(kg, entry.split("/")[0])(*args)
     assert linalg_counts["norm2"] == 0
     for name, ceiling in CEILINGS[entry].items():
         assert linalg_counts[name] <= ceiling, name

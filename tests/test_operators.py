@@ -79,10 +79,20 @@ def test_uniform_norm_and_smallest_singular_value():
     shape = kg.AlgebraShape((2, 3))
     f = random_operator(rng, shape, 3, 2)
     svals = [np.linalg.svd(b, compute_uv=False) for b in f.blocks]
-    assert f.uniform_norm() == pytest.approx(max(s[0] for s in svals), rel=1e-12)
+    assert f.uniform_norm() == max(s[0] for s in svals)
     assert f.smallest_singular_value() == pytest.approx(
         min(s[-1] for s in svals), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("entries", [(1.0, 1e200), (1e200, 1.0)])
+def test_an_infinite_block_makes_the_uniform_norm_nan_wherever_it_sits(entries):
+    shape = kg.AlgebraShape((1, 1))
+    a = kg.ModuleOperator(shape, 1, 1, [[[entries[0]]], [[entries[1]]]])
+    with np.errstate(over="ignore"):
+        squares = [a.then(a) for _ in range(2)]
+    assert np.isnan(squares[0].uniform_norm())
+    assert np.isnan(kg.uniform_norms(squares[1], a)[0])
 
 
 def test_inverse_and_invertibility_error():
@@ -216,6 +226,16 @@ def test_largest_lower_scale_range_leak_gives_zero():
     )
     assert pencil.lower_scale == 0.0
     assert not pencil.included
+    # the refusal witness is the direction M sees outside the range of N
+    assert pencil.block == 0 and abs(pencil.direction[0]) == 1.0
+
+
+def test_a_refused_pencil_finds_its_witness_on_a_vanished_block():
+    m_blocks = [np.eye(2, dtype=complex), np.diag([0.0, 3.0]).astype(complex)]
+    n_blocks = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
+    pencil = kg.psd_quotient_max(m_blocks, n_blocks)
+    assert not pencil.included and pencil.lower_scale == 0.0
+    assert pencil.block == 1 and abs(pencil.direction[1]) == 1.0
 
 
 def test_largest_lower_scale_zero_reference_gives_infinity():
