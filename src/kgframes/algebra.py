@@ -1,8 +1,8 @@
 """Finite direct sums of complex matrix blocks and their C*-seminorms.
 
 An algebra element is one square complex matrix per block.  The k-th
-seminorm is the spectral norm of the k-th block; positivity and the
-induced order are decided blockwise with relative tolerances.
+seminorm is the spectral norm of the k-th block; positivity is decided
+blockwise with relative tolerances.
 
 Every numerical decision of the package has its rule here.  A rank
 decision keeps a singular value (or eigenvalue) above `rank_cutoff`.  A
@@ -106,6 +106,13 @@ def _bracket(side) -> tuple[float, float, list]:
     return low, high, [mat for mat, mat_high in zip(side, highs) if mat_high >= low]
 
 
+def _largest(norms: Sequence[float]) -> float:
+    """The largest of some norms: NaN when any is (the SVD of an infinite
+    entry), wherever it sits, where Python's max keeps a NaN only in
+    first place."""
+    return np.nan if any(n != n for n in norms) else max(norms)
+
+
 def within_slack(residuals, tol: float, scales) -> bool:
     """The residual gate, max |R|_2 <= slack(tol, max |T|_2), over matrices
     R of `residuals` and T of `scales`: bitwise the verdict of their
@@ -118,7 +125,8 @@ def within_slack(residuals, tol: float, scales) -> bool:
     its scale.  Otherwise one `spectral_norms` call measures the matrices
     still unknown.  A side with a non-finite matrix is measured whole, as
     `spectral_norms` alone would: an infinite entry gives a NaN norm, which
-    fails the gate, and a NaN entry raises LinAlgError.
+    fails the gate wherever its matrix sits, and a NaN entry raises
+    LinAlgError.
     """
     r_low, r_high, r_mats = _bracket(residuals)
     s_low, s_high, s_mats = _bracket(scales)
@@ -127,8 +135,8 @@ def within_slack(residuals, tol: float, scales) -> bool:
     if r_low > slack(tol, s_high):
         return False
     norms = spectral_norms(r_mats + s_mats)
-    r_norm = max(norms[: len(r_mats)], default=r_low)
-    s_norm = max(norms[len(r_mats) :], default=s_low)
+    r_norm = _largest(norms[: len(r_mats)]) if r_mats else r_low
+    s_norm = _largest(norms[len(r_mats) :]) if s_mats else s_low
     return r_norm <= slack(tol, s_norm)
 
 
@@ -414,25 +422,9 @@ class AlgebraElement(_Blocks):
 
     identity = classmethod(_identity)
 
-    def block(self, k: int) -> np.ndarray:
-        return self.blocks[k]
-
-    def star(self) -> "AlgebraElement":
-        """Blockwise conjugate transpose (the algebra involution)."""
-        return self._like([np.conjugate(b.T, order="C") for b in self.blocks])
-
     def seminorm(self, k: int) -> float:
         """Spectral norm of block k."""
         return spectral_norms([self.blocks[k]])[0]
-
-    def seminorms(self) -> tuple[float, ...]:
-        return tuple(spectral_norms(self.blocks))
-
-    def max_seminorm(self) -> float:
-        return max(self.seminorms())
-
-    def is_positive(self, tol_psd: float = TOL_PSD) -> PositivityVerdict:
-        return psd_verdict(self.blocks, tol_psd=tol_psd)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -451,8 +443,3 @@ class AlgebraElement(_Blocks):
 
     def __repr__(self) -> str:
         return f"AlgebraElement(shape={self.shape.sizes})"
-
-
-def leq(a: AlgebraElement, b: AlgebraElement, tol_psd: float = TOL_PSD) -> bool:
-    """Order relation: a <= b iff b - a is positive."""
-    return (b - a).is_positive(tol_psd=tol_psd).is_positive

@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import (
     TOL_RANK,
     _check_same_shape,
+    _largest,
     eigvalsh_each,
     rank_cutoff,
     singular_values_each,
@@ -190,7 +191,7 @@ def _require_isometries(
     passed = [within_slack(op_gaps, ISOMETRY_TOL, 0.0) for op_gaps in gaps]
     for op_gaps, ok in zip(gaps, passed):
         if not ok:
-            defect = max(spectral_norms(op_gaps))
+            defect = _largest(spectral_norms(op_gaps))
             raise IsometryError(
                 f"composite with the adjoint deviates from the identity by {defect:.3e}"
             )

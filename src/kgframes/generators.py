@@ -423,15 +423,3 @@ def spec_to_dict(spec: GenSpec) -> dict:
         "tight_scale": spec.tight_scale,
         "k_inside": spec.k_inside,
     }
-
-
-def spec_from_dict(payload: dict) -> GenSpec:
-    return GenSpec(
-        seed=int(payload["seed"]),
-        kind=str(payload["kind"]),
-        block_sizes=tuple(int(n) for n in payload["block_sizes"]),
-        module_rank=int(payload["module_rank"]),
-        codomain_ranks=tuple(int(c) for c in payload["codomain_ranks"]),
-        tight_scale=float(payload.get("tight_scale", 1.0)),
-        k_inside=bool(payload.get("k_inside", False)),
-    )

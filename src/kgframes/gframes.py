@@ -26,6 +26,7 @@ from .algebra import (
     TOL_RANK,
     AlgebraShape,
     _check_same_shape,
+    _largest,
     rank_cutoff,
     spectral_norms,
 )
@@ -94,15 +95,6 @@ class GFrame:
 
     # -- structure ----------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def member(self, i: int) -> ModuleOperator:
-        return self.members[i]
-
     @property
     def codomain_ranks(self) -> tuple[int, ...]:
         return tuple(m.codomain_rank for m in self.members)
@@ -148,12 +140,6 @@ class GFrame:
             ),
         )
 
-    def analysis(self, x: ModuleVector) -> ModuleVector:
-        return self.analysis_operator().apply(x)
-
-    def synthesis(self, g: ModuleVector) -> ModuleVector:
-        return self.synthesis_operator().apply(g)
-
 
 def _check_square_on_domain(frame: GFrame, k_op: ModuleOperator) -> None:
     _check_same_shape(frame.shape, k_op.shape)
@@ -181,9 +167,10 @@ def _member_sum_blocks(a: GFrame, b: GFrame) -> list[np.ndarray]:
 
 
 def frame_distance(a: GFrame, b: GFrame) -> float:
-    """Largest member-wise uniform-norm difference."""
+    """Largest member-wise uniform-norm difference: NaN when any member's
+    is, wherever that member sits."""
     _check_index_compatible(a, b)
-    return max(uniform_norms(*(x - y for x, y in zip(a.members, b.members))))
+    return _largest(uniform_norms(*(x - y for x, y in zip(a.members, b.members))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,22 +324,21 @@ def basis_axiom_report(
             for k in range(shape.block_count):
                 got = ei.blocks[k].conj().T @ ej.blocks[k]
                 delta_gaps.append(got - np.eye(len(got)) if i == j else got)
-    delta_violation = max([0.0, *spectral_norms(delta_gaps)])
+    delta_violation = _largest([0.0, *spectral_norms(delta_gaps)])
     parseval_gaps = [
         acc - np.eye(acc.shape[0]) for acc in _member_sum_blocks(basis, basis)
     ]
-    parseval_violation = max([0.0, *spectral_norms(parseval_gaps)])
+    parseval_violation = _largest([0.0, *spectral_norms(parseval_gaps)])
     if probes is None:
         probes = _default_probes(shape, basis.domain_rank)
-    seminorm_violation = 0.0
+    seminorm_gaps = [0.0]
     for x in probes:
         images = [mem.apply(x) for mem in basis.members]
         for k in range(shape.block_count):
             total = sum(vector_seminorm(img, k) ** 2 for img in images)
             base = vector_seminorm(x, k) ** 2
-            seminorm_violation = max(
-                seminorm_violation, abs(total - base) / (1.0 + base)
-            )
+            seminorm_gaps.append(abs(total - base) / (1.0 + base))
+    seminorm_violation = _largest(seminorm_gaps)
     return BasisAxiomReport(
         delta_ok=delta_violation <= BASIS_TOL,
         delta_violation=delta_violation,

@@ -16,6 +16,7 @@ from .algebra import (
     AlgebraShape,
     _Blocks,
     _check_same_shape,
+    _largest,
     spectral_norms,
 )
 from .errors import ShapeMismatch
@@ -76,11 +77,6 @@ class ModuleVector(_Blocks):
     def components(self) -> list[AlgebraElement]:
         return [self.component(i) for i in range(self.rank)]
 
-    def left_mul(self, a: AlgebraElement) -> "ModuleVector":
-        """Module action: multiply every component by a on the left."""
-        _check_same_shape(self.shape, a.shape)
-        return self._like([blk @ s for blk, s in zip(a.blocks, self.stacks)])
-
     def __repr__(self) -> str:
         return f"ModuleVector(shape={self.shape.sizes}, rank={self.rank})"
 
@@ -106,13 +102,14 @@ def vector_seminorm(x: ModuleVector, k: int) -> float:
 
 def max_vector_seminorms(*xs: ModuleVector) -> tuple[float, ...]:
     """Largest induced seminorm over the blocks of every vector, from one
-    kernel call for all their inner products."""
+    kernel call for all their inner products; NaN for a vector with an
+    infinite Gram block, wherever that block sits."""
     grams = [inner(x, x).blocks for x in xs]
     norms = spectral_norms([blk for blocks in grams for blk in blocks])
     out = []
     start = 0
     for blocks in grams:
         stop = start + len(blocks)
-        out.append(max(float(np.sqrt(s)) for s in norms[start:stop]))
+        out.append(_largest([float(np.sqrt(s)) for s in norms[start:stop]]))
         start = stop
     return tuple(out)

@@ -34,8 +34,8 @@ from .algebra import (
     _check_same_shape,
     _each,
     _identity,
+    _largest,
     eigh_each,
-    leq,
     psd_verdict,
     rank_cutoff,
     singular_values_each,
@@ -44,7 +44,7 @@ from .algebra import (
     within_slack,
 )
 from .errors import InvertibilityError, ShapeMismatch
-from .modules import ModuleVector, inner
+from .modules import ModuleVector
 
 TOL_EQ = 1e-8
 
@@ -79,12 +79,6 @@ def _pseudoinverses(rel_tol: float):
     return decompose
 
 
-def _largest(norms: list[float]) -> float:
-    """The uniform norm from its block norms: NaN when any block's is (the
-    SVD of an infinite entry), wherever that block sits."""
-    return np.nan if any(n != n for n in norms) else max(norms)
-
-
 class ModuleOperator(_Blocks):
     """Adjointable module map held as one realization matrix per block.
 
@@ -107,32 +101,6 @@ class ModuleOperator(_Blocks):
     def codomain_rank(self) -> int:
         return self.dims[1]
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_coeffs(
-        cls, coeffs: Sequence[Sequence[AlgebraElement]]
-    ) -> "ModuleOperator":
-        """Build from a d x c nested list of algebra coefficients."""
-        if not coeffs or not coeffs[0]:
-            raise ShapeMismatch("coefficient array must be non-empty")
-        d = len(coeffs)
-        c = len(coeffs[0])
-        shape = coeffs[0][0].shape
-        for row in coeffs:
-            if len(row) != c:
-                raise ShapeMismatch("ragged coefficient array")
-            for entry in row:
-                _check_same_shape(shape, entry.shape)
-        blocks = []
-        for k, n in enumerate(shape):
-            blk = np.zeros((n * d, n * c), dtype=complex)
-            for i in range(d):
-                for j in range(c):
-                    blk[i * n : (i + 1) * n, j * n : (j + 1) * n] = coeffs[i][j].blocks[k]
-            blocks.append(blk)
-        return cls(shape, d, c, blocks)
-
     identity = classmethod(_identity)
 
     # -- structure ----------------------------------------------------
@@ -144,12 +112,6 @@ class ModuleOperator(_Blocks):
         for n, blk in zip(self.shape, self.blocks):
             blocks.append(blk[i * n : (i + 1) * n, j * n : (j + 1) * n])
         return AlgebraElement(self.shape, blocks)
-
-    def coeffs(self) -> list[list[AlgebraElement]]:
-        return [
-            [self.coeff(i, j) for j in range(self.codomain_rank)]
-            for i in range(self.domain_rank)
-        ]
 
     def adjoint(self) -> "ModuleOperator":
         """Conjugate transpose of every realization block, exactly."""
@@ -539,45 +501,4 @@ def douglas(
         residual=residual,
         factor_ok=factor_ok,
         gap_ratio=pencil.gap_ratio,
-    )
-
-
-# -- invertible sandwich check ------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    ok: bool
-    lower_ok: bool
-    upper_ok: bool
-    lower_scale: float
-    upper_scale: float
-
-
-def norm_envelope_check(
-    f_op: ModuleOperator,
-    eta: ModuleVector,
-    tol_psd: float = TOL_PSD,
-    rel_tol: float = TOL_RANK,
-) -> EnvelopeReport:
-    """Check the two-sided norm envelope for an invertible operator.
-
-    For invertible F the inner product of F eta with itself is squeezed
-    between the inner product of eta scaled by the inverse norm and by
-    the norm of F.
-    """
-    inv = f_op.inverse(rel_tol=rel_tol)  # raises when not invertible
-    upper_scale = f_op.uniform_norm() ** 2
-    lower_scale = 1.0 / (inv.uniform_norm() ** 2)
-    image = f_op.apply(eta)
-    base = inner(eta, eta)
-    lifted = inner(image, image)
-    lower_ok = leq(base.scale(lower_scale), lifted, tol_psd=tol_psd)
-    upper_ok = leq(lifted, base.scale(upper_scale), tol_psd=tol_psd)
-    return EnvelopeReport(
-        ok=lower_ok and upper_ok,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        lower_scale=lower_scale,
-        upper_scale=upper_scale,
     )

@@ -23,10 +23,10 @@ def test_coordinate_frame_canonical_dual_is_reference_composition():
     # canonical dual members are exactly reference-then-coordinate-slice.
     shape = single_block_shape()
     basis = kg.canonical_basis(shape, 2, (1, 1))
-    frame = kg.GFrame([basis.member(0), basis.member(1)])
+    frame = kg.GFrame([basis.members[0], basis.members[1]])
     k_op = square_op(shape, [[1.0, 0.5], [0.25, 2.0]])
     result = kg.canonical_k_dual(frame, k_op)
-    hand = kg.GFrame([k_op.then(basis.member(0)), k_op.then(basis.member(1))])
+    hand = kg.GFrame([k_op.then(basis.members[0]), k_op.then(basis.members[1])])
     assert kg.frame_distance(result.frame, hand) <= 1e-14
     assert result.certificate.is_dual
     assert result.certificate.residual <= 1e-14
@@ -51,9 +51,9 @@ def test_pinned_example_canonical_dual():
 def test_verify_k_dual_measures_the_defect():
     shape = single_block_shape()
     basis = kg.canonical_basis(shape, 2, (1, 1))
-    frame = kg.GFrame([basis.member(0), basis.member(1)])
+    frame = kg.GFrame([basis.members[0], basis.members[1]])
     k_op = square_op(shape, [[1, 0], [0, 1]])
-    xi = kg.GFrame([basis.member(0), basis.member(1)])
+    xi = kg.GFrame([basis.members[0], basis.members[1]])
     good = kg.verify_k_dual(frame, xi, k_op)
     assert good.is_dual and good.residual <= 1e-14
     bad = kg.verify_k_dual(frame, xi, k_op.scale(1.5))
@@ -184,7 +184,7 @@ def test_combination_rejects_non_dual_inputs():
     rng, shape, frame, k_op, xi = _combination_fixture(65)
     d = frame.domain_rank
     half = kg.ModuleOperator.identity(shape, d).scale(0.5)
-    broken = kg.GFrame([xi.member(0).scale(1.5)] + list(xi.members[1:]))
+    broken = kg.GFrame([xi.members[0].scale(1.5)] + list(xi.members[1:]))
     with pytest.raises(kg.DualityError):
         kg.combine_duals(frame, broken, xi, k_op, half, half)
 
@@ -224,7 +224,7 @@ def test_transport_rejects_non_coisometry():
 def test_commuting_transform_diagonal_oracle():
     shape = single_block_shape()
     basis = kg.canonical_basis(shape, 2, (1, 1))
-    frame = kg.GFrame([basis.member(0), basis.member(1)])  # frame operator = identity
+    frame = kg.GFrame([basis.members[0], basis.members[1]])  # frame operator = identity
     k_op = kg.ModuleOperator.identity(shape, 2)
     q_op = square_op(shape, [[2, 0], [0, 1]])
     report = kg.transform_by_q(frame, k_op, q_op)
@@ -248,7 +248,7 @@ def test_commuting_transform_generated_pairs():
 def test_transform_rejects_non_commuting_operator():
     shape = single_block_shape()
     basis = kg.canonical_basis(shape, 2, (1, 1))
-    frame = kg.GFrame([basis.member(0), basis.member(1)])
+    frame = kg.GFrame([basis.members[0], basis.members[1]])
     k_op = square_op(shape, [[1, 0], [0, 2]])
     swap = square_op(shape, [[0, 1], [1, 0]])
     with pytest.raises(kg.CommutationError):
@@ -324,6 +324,19 @@ def test_an_overflowing_isometry_is_refused():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(kg.IsometryError, match="by nan"):
             duality._require_isometries([w], adjoint_first=True)
+
+
+def test_an_overflowing_block_is_refused_wherever_it_sits():
+    # one isometric block and one whose Gram block overflows to inf: the
+    # NaN defect refuses the operator whether its block comes first or not
+    shape = kg.AlgebraShape((1, 1))
+    gamma = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [[[1.0]], [[1.0]]])])
+    k_op = kg.ModuleOperator.identity(shape, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blocks in ([[[1.0]], [[1e200]]], [[[1e200]], [[1.0]]]):
+            w = kg.ModuleOperator(shape, 1, 1, blocks)
+            with pytest.raises(kg.IsometryError, match="by nan"):
+                kg.isometry_left_transform(gamma, k_op, w)
 
 
 def test_a_repeated_isometry_still_fails_first_with_its_message():

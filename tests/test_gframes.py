@@ -27,8 +27,8 @@ def test_bound_witnesses_saturate_their_bounds():
     bounds = kg.optimal_g_bounds(frame)
     s = frame.frame_operator()
     for witness, value in ((bounds.witness_low, bounds.lower), (bounds.witness_high, bounds.upper)):
-        num = kg.inner(s.apply(witness), witness).block(0).real[0, 0]
-        den = kg.inner(witness, witness).block(0).real[0, 0]
+        num = kg.inner(s.apply(witness), witness).blocks[0].real[0, 0]
+        den = kg.inner(witness, witness).blocks[0].real[0, 0]
         assert den > 0
         assert num / den == pytest.approx(value, rel=1e-9)
 
@@ -64,9 +64,9 @@ def test_analysis_synthesis_adjoint_pair():
     syn = frame.synthesis_operator()
     assert kg.operator_distance(syn, ana.adjoint()) < 1e-12
     x = random_vector(rng, inst.shape, frame.domain_rank)
-    g = frame.analysis(x)
+    g = ana.apply(x)
     assert g.rank == frame.total_codomain_rank
-    back = frame.synthesis(g)
+    back = syn.apply(g)
     s_x = frame.frame_operator().apply(x)
     for k in range(inst.shape.block_count):
         assert np.allclose(back.stacks[k], s_x.stacks[k], atol=1e-10)
@@ -88,7 +88,7 @@ def test_analysis_pieces_partition_the_coefficients():
     inst = generate(draw_spec("generic", 42))
     frame = inst.frame
     x = random_vector(rng, inst.shape, frame.domain_rank)
-    g = frame.analysis(x)
+    g = frame.analysis_operator().apply(x)
     assert g.rank == frame.total_codomain_rank
     for i, member in enumerate(frame.members):
         lo, hi = frame.offsets[i], frame.offsets[i + 1]
@@ -182,6 +182,18 @@ def test_validate_basis_rejects_non_basis():
             kg.validate_basis(skew)
 
 
+def test_validate_basis_rejects_a_basis_scaled_past_overflow():
+    # scaled by 3 the axioms fail by 8; scaled by 1e200 their defects
+    # overflow to NaN norms, which fail them too
+    basis = kg.canonical_basis(kg.AlgebraShape((2,)), 2, (1, 1))
+    for t in (3.0, 1e200):
+        scaled = kg.GFrame([member.scale(t) for member in basis.members])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(kg.BasisError):
+                kg.validate_basis(scaled)
+            assert not kg.basis_axiom_report(scaled).seminorm_additive_ok
+
+
 def test_validate_basis_keeps_one_report():
     basis = kg.canonical_basis(kg.AlgebraShape((2, 1)), 3, (2, 1))
     first = kg.validate_basis(basis)
@@ -230,3 +242,14 @@ def test_frame_distance_properties():
     d1 = kg.frame_distance(frame, other)
     assert d1 == pytest.approx(1.0, rel=1e-12)  # members differ by (0,1) in one slot
     assert kg.frame_distance(other, frame) == d1
+
+
+def test_an_infinite_member_difference_makes_the_distance_nan_wherever_it_sits():
+    shape = kg.AlgebraShape((1,))
+    big = kg.ModuleOperator(shape, 1, 1, [[[1e200]]])
+    with np.errstate(over="ignore"):
+        members = [kg.ModuleOperator.identity(shape, 1), big.then(big)]
+    zeros = kg.GFrame([kg.ModuleOperator.zero(shape, 1, 1)] * 2)
+    with np.errstate(invalid="ignore"):
+        for ordered in (members, members[::-1]):
+            assert np.isnan(kg.frame_distance(kg.GFrame(ordered), zeros))

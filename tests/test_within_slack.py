@@ -9,10 +9,13 @@ from kgframes.algebra import slack, spectral_norms, within_slack
 
 
 def exact_gate(residuals, tol, scales):
-    """max |R|_2 <= slack(tol, max |T|_2) from measured spectral norms."""
+    """max |R|_2 <= slack(tol, max |T|_2) from measured spectral norms; a
+    NaN norm is the largest, wherever its matrix sits."""
 
     def norm(side):
-        return side if isinstance(side, float) else max(spectral_norms(side), default=0.0)
+        if isinstance(side, float):
+            return side
+        return float(np.max(spectral_norms(side), initial=0.0))
 
     return norm(residuals) <= slack(tol, norm(scales))
 
@@ -142,6 +145,17 @@ def test_an_infinite_block_takes_the_exact_path(side):
     args = ([inf], 1e-8, tame) if side == "residuals" else (tame, 1e-8, [inf])
     with np.errstate(invalid="ignore"):
         assert within_slack(*args) is exact_gate(*args) is False
+
+
+def test_an_infinite_block_fails_the_gate_in_either_position():
+    # an infinite block's NaN norm decides the gate, first or not
+    inf = np.array([[np.inf]], dtype=complex)
+    tame = np.zeros((1, 1), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for blocks in ([tame, inf], [inf, tame]):
+            assert within_slack(blocks, 1e-8, 0.0) is False
+            assert within_slack([tame], 1e-8, blocks) is False
+            assert exact_gate(blocks, 1e-8, 0.0) is False
 
 
 @pytest.mark.parametrize("side", ["residuals", "scales"])
