@@ -25,7 +25,9 @@ stacked call per shape and dtype; LAPACK still runs on each matrix of
 the stack alone, so every result is bitwise that of a single call.  A
 group of matrices that are all zero makes no call: its singular values,
 and so its spectral norms, are 0.0, which is what LAPACK returns for
-them.
+them.  Nor does a matrix with a non-finite entry reach LAPACK's SVD,
+which would write a message to standard output: `singular_values_each`
+gives it LAPACK's outcome without the call.
 
 Algebra elements, module vectors and module operators are all one
 complex matrix per block; `_Blocks` holds that storage, its construction
@@ -181,13 +183,25 @@ def singular_values_each(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     bitwise what np.linalg.svd(mat, compute_uv=False) returns.
 
     A group that is all zero (or has no entries) skips LAPACK: its values
-    are zeros, which is what LAPACK returns for it.
+    are zeros, which is what LAPACK returns for it.  So does a matrix with
+    a non-finite entry, which LAPACK would answer by writing a message to
+    standard output: where an entry's modulus is NaN, LAPACK refuses the
+    matrix and so the whole stack (LinAlgError); where the largest modulus
+    is infinite, every singular value is NaN.
     """
 
     def decompose(stack: np.ndarray) -> np.ndarray:
         if not np.count_nonzero(stack):
             return np.zeros((len(stack), min(stack.shape[1:])))
-        return np.linalg.svd(stack, compute_uv=False)
+        if np.isfinite(stack).all():
+            return np.linalg.svd(stack, compute_uv=False)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if np.isnan(np.abs(stack[~finite])).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        out = np.full((len(stack), min(stack.shape[1:])), np.nan)
+        if finite.any():
+            out[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+        return out
 
     return _each(decompose, mats)
 

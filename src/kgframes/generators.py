@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape
+from .algebra import AlgebraShape, _each
 from .errors import InfeasibleSpec
 from .gframes import GFrame, canonical_basis
 from .modules import ModuleVector
@@ -135,7 +135,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """Real parts, then imaginary parts, from one draw of the stream."""
+    parts = rng.standard_normal((2, rows, cols))
+    out = np.empty((rows, cols), dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
+
+
+def _full_svds(stack: np.ndarray):
+    return zip(*np.linalg.svd(stack))
+
+
+def _q_factors(stack: np.ndarray):
+    return np.linalg.qr(stack).Q
 
 
 def random_operator(
@@ -152,12 +165,13 @@ def random_operator(
 def clamped_square(
     rng: np.random.Generator, shape: AlgebraShape, rank: int
 ) -> ModuleOperator:
-    """Square operator with every singular value clamped into [0.5, 2]."""
-    blocks = []
-    for n in shape:
-        g = _gaussian_matrix(rng, n * rank, n * rank)
-        u, svals, vh = np.linalg.svd(g)
-        blocks.append(u @ np.diag(np.clip(svals, 0.5, 2.0)) @ vh)
+    """Square operator with every singular value clamped into [0.5, 2].
+
+    The draws are decomposed by one stacked SVD per block size."""
+    draws = [_gaussian_matrix(rng, n * rank, n * rank) for n in shape]
+    blocks = [
+        (u * np.clip(svals, 0.5, 2.0)) @ vh for u, svals, vh in _each(_full_svds, draws)
+    ]
     return ModuleOperator._fresh(shape, (rank, rank), blocks)
 
 
@@ -172,13 +186,12 @@ def random_isometry(
     identity on the codomain; unitary when the ranks are equal.  With
     domain_rank < codomain_rank, the adjoint of that draw with the ranks
     swapped: the composite (adjoint second) is the identity on the domain.
+    The draws are factored by one stacked QR per block size.
     """
     if domain_rank < codomain_rank:
         return random_isometry(rng, shape, codomain_rank, domain_rank).adjoint()
-    blocks = []
-    for n in shape:
-        q, _ = np.linalg.qr(_gaussian_matrix(rng, n * domain_rank, n * codomain_rank))
-        blocks.append(np.ascontiguousarray(q))
+    draws = [_gaussian_matrix(rng, n * domain_rank, n * codomain_rank) for n in shape]
+    blocks = [np.ascontiguousarray(q) for q in _each(_q_factors, draws)]
     return ModuleOperator._fresh(shape, (domain_rank, codomain_rank), blocks)
 
 

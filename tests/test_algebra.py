@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kgframes as kg
-from kgframes.algebra import eigh_each, eigvalsh_each
+from kgframes.algebra import eigh_each, eigvalsh_each, singular_values_each
 from helpers import hermitian_element, psd_element, random_element
 
 
@@ -171,6 +171,37 @@ def test_spectral_norms_match_numpy_bitwise_in_input_order():
     got = kg.spectral_norms([mats[0], *empty, mats[1]])
     want = [float(np.linalg.norm(m, 2)) for m in (mats[0], *empty, mats[1])]
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize(
+    "entry", [np.inf, -np.inf, complex(np.inf, np.nan), complex(1.0, -np.inf)]
+)
+def test_an_infinite_matrix_has_nan_singular_values_and_no_lapack_message(
+    entry, capfd
+):
+    rng = np.random.default_rng(13)
+    tame = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # LAPACK answers two (inf + nan j) diagonal entries with a DLASCL message
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[0, 0] = bad[1, 1] = entry
+    got = singular_values_each([tame, bad, tame])
+    assert np.isnan(got[1]).all() and got[1].shape == (4,)
+    want = np.linalg.svd(tame, compute_uv=False).tobytes()
+    assert got[0].tobytes() == got[2].tobytes() == want
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+
+
+def test_a_nan_modulus_refuses_the_stack_as_lapack_does():
+    mats = _mixed_matrices(np.random.default_rng(14))
+    bad = np.array(mats[2], dtype=complex)
+    bad[0, 0] = np.inf  # a NaN modulus elsewhere decides, wherever it sits
+    bad[-1, -1] = complex(np.nan, 1.0)
+    for stack in ([bad], [mats[2], bad]):
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_values_each(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(np.array(stack), compute_uv=False)
 
 
 def test_psd_verdict_reads_an_empty_block_as_zero():

@@ -194,6 +194,18 @@ def test_validate_basis_rejects_a_basis_scaled_past_overflow():
             assert not kg.basis_axiom_report(scaled).seminorm_additive_ok
 
 
+def test_a_basis_scaled_past_overflow_writes_nothing(capfd):
+    # the overflowing axiom gaps are non-finite matrices, which LAPACK would
+    # answer with " ** On entry to DLASCL ..." on standard output
+    basis = kg.canonical_basis(kg.AlgebraShape((2,)), 2, (1, 1))
+    scaled = kg.GFrame([member.scale(1e200) for member in basis.members])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(kg.BasisError):
+            kg.validate_basis(scaled)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out and "DLASCL" not in err
+
+
 def test_validate_basis_keeps_one_report():
     basis = kg.canonical_basis(kg.AlgebraShape((2, 1)), 3, (2, 1))
     first = kg.validate_basis(basis)

@@ -4,8 +4,9 @@ The counts are deterministic, so these ceilings hold on a noisy machine:
 spectral norms go through the stacked kernel (never np.linalg.norm with
 ord=2), norms needed together share one call, a group of zero matrices
 makes none, a gate settled by Frobenius bounds makes none, the frame
-operator is decomposed once per frame, pseudoinverses are stacked thin
-SVDs (never np.linalg.pinv), and the range comparisons build projectors
+operator is decomposed once per frame and its kept spectrum also gives
+its pseudoinverse and inverse, any other pseudoinverse is a stacked thin
+SVD (never np.linalg.pinv), and the range comparisons build projectors
 only (no pencil, no pseudoinverse).
 """
 
@@ -25,13 +26,17 @@ CEILINGS = {
     # the pencil's own decomposition builds the refusal witness: no range
     # projector, one SVD for the witness's two seminorms
     "is_kg_frame/refused": {"eigh": 6, "svd": 1},
-    "canonical_k_dual": {"eigh": 4, "pinv": 0, "svd": 8},
+    # the pseudoinverse of S comes from the spectrum the verdict kept
+    "canonical_k_dual": {"eigh": 4, "pinv": 0, "svd": 6},
     "tightness_check": {"eigh": 0, "pinv": 0, "svd": 6},
     "kg_via_range": {"eigh": 0, "pinv": 0, "svd": 2},
     # the residual is reported, so measured: one launch per block shape
     "verify_k_dual": {"svd": 2},
     # the axiom gaps of a canonical basis are exactly zero
     "validate_basis": {"svd": 0},
+    # a frame operator whose spectrum is kept inverts it with no launch
+    "frame_operator.pinv": {"eigh": 0, "inv": 0, "pinv": 0, "svd": 0},
+    "frame_operator.inverse": {"eigh": 0, "inv": 0, "pinv": 0, "svd": 0},
 }
 
 
@@ -72,9 +77,19 @@ def linalg_counts(monkeypatch):
 
         return wrapper
 
-    for name in ("svd", "eigh", "norm", "pinv"):
+    for name in ("svd", "eigh", "norm", "pinv", "inv"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
+
+
+def _call(entry: str):
+    """The counted call of an entry, its arguments built beforehand."""
+    if entry.startswith("frame_operator."):
+        s_op = _instance()[0].frame_operator()
+        s_op.hermitian_spectrum()
+        return getattr(s_op, entry.split(".")[1])
+    args = _args(entry)
+    return lambda: getattr(kg, entry.split("/")[0])(*args)
 
 
 def _args(entry: str) -> tuple:
@@ -94,9 +109,9 @@ def _args(entry: str) -> tuple:
 
 @pytest.mark.parametrize("entry", sorted(CEILINGS))
 def test_entry_point_lapack_counts(entry, linalg_counts):
-    args = _args(entry)
+    call = _call(entry)
     linalg_counts.clear()
-    getattr(kg, entry.split("/")[0])(*args)
+    call()
     assert linalg_counts["norm2"] == 0
     for name, ceiling in CEILINGS[entry].items():
         assert linalg_counts[name] <= ceiling, name

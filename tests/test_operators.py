@@ -146,6 +146,98 @@ def test_pinv_is_numpy_pinv_bitwise(rel_tol):
                 assert got.tobytes() == want.tobytes()
 
 
+def _exact_hermitian(mat):
+    # (a + a*) / 2 is bitwise its own conjugate transpose
+    return (mat + mat.conj().T) / 2.0
+
+
+def _hermitian_blocks(rng, n):
+    """Exactly Hermitian blocks with eigenvalue moduli in [1e-3, 2] or zero:
+    PSD full rank, PSD rank-deficient, indefinite and zero.  The 1e-3 is
+    kept at rel_tol 1e-10 and dropped at 1e-3 unless it is the largest.
+    Also returns, for a rel_tol, each block rebuilt from the eigenvalues
+    above `rank_cutoff`."""
+    q, _ = np.linalg.qr(_gaussian(rng, n, n))
+    full = rng.uniform(0.5, 2.0, n)
+    full[0] = 1e-3
+    deficient = full.copy()
+    deficient[: n // 2] = 0.0
+    indefinite = full * np.where(np.arange(n) % 2, -1.0, 1.0)
+    spectra = [full, deficient, indefinite, np.zeros(n)]
+
+    def build(lam):
+        return _exact_hermitian((q * lam) @ q.conj().T)
+
+    def kept(rel_tol):
+        out = []
+        for lam in spectra:
+            cut = rel_tol * max(float(np.abs(lam).max()), 1e-300)
+            out.append(build(np.where(np.abs(lam) > cut, lam, 0.0)))
+        return out
+
+    return [build(lam) for lam in spectra], kept
+
+
+def _svd_route_raises(blk, rel_tol):
+    svals = np.linalg.svd(blk, compute_uv=False)
+    return svals[-1] <= rel_tol * max(float(svals[0]), 1e-300)
+
+
+def _close(got, want):
+    return np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("rel_tol", [kg.TOL_RANK, 1e-3])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_a_hermitian_pinv_comes_from_the_spectrum(rel_tol, n):
+    rng = np.random.default_rng(30 + n)
+    blocks, kept = _hermitian_blocks(rng, n)
+    op = kg.ModuleOperator(kg.AlgebraShape((n,) * len(blocks)), 1, 1, blocks)
+    p = op.pinv(rel_tol)
+    for blk, a, got in zip(blocks, kept(rel_tol), p.blocks):
+        assert np.array_equal(got, got.conj().T)
+        # Penrose identities of the block with its dropped eigenvalues cut
+        assert _close(a @ got @ a, a)
+        assert _close(got @ a @ got, got)
+        for prod in (a @ got, got @ a):
+            assert _close(prod.conj().T, prod)
+        want = np.linalg.pinv(blk, rcond=rel_tol)
+        assert _close(got, want)
+        assert np.linalg.matrix_rank(got) == np.linalg.matrix_rank(want)
+    # the route does not depend on whether the spectrum was read before
+    read_first = kg.ModuleOperator(op.shape, 1, 1, blocks)
+    read_first.hermitian_spectrum()
+    for a, b in zip(read_first.pinv(rel_tol).blocks, p.blocks):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rel_tol", [kg.TOL_RANK, 1e-3])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_a_hermitian_inverse_raises_where_the_svd_route_does(rel_tol, n):
+    rng = np.random.default_rng(40 + n)
+    blocks, _ = _hermitian_blocks(rng, n)
+    for blk in blocks:
+        op = kg.ModuleOperator(kg.AlgebraShape((n,)), 1, 1, [blk])
+        if _svd_route_raises(blk, rel_tol):
+            with pytest.raises(kg.InvertibilityError):
+                op.inverse(rel_tol)
+            continue
+        got = op.inverse(rel_tol).blocks[0]
+        assert np.array_equal(got, got.conj().T)
+        assert _close(got, np.linalg.inv(blk))
+    together = kg.ModuleOperator(kg.AlgebraShape((n,) * len(blocks)), 1, 1, blocks)
+    with pytest.raises(kg.InvertibilityError):
+        together.inverse(rel_tol)
+
+
+def test_a_block_hermitian_only_to_roundoff_keeps_the_svd_route():
+    rng = np.random.default_rng(50)
+    blk = _exact_hermitian(_gaussian(rng, 4, 4))
+    blk[0, 1] += 1e-15
+    op = kg.ModuleOperator(kg.AlgebraShape((4,)), 1, 1, [blk])
+    assert op.pinv().blocks[0].tobytes() == np.linalg.pinv(blk, rcond=kg.TOL_RANK).tobytes()
+
+
 def test_hermitian_sqrt():
     rng = np.random.default_rng(28)
     shape = kg.AlgebraShape((3,))
