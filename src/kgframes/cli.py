@@ -59,6 +59,15 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_tolerances(args: argparse.Namespace) -> None:
+    """Refuse a given tolerance that is not a finite positive number."""
+    for name in ("tol_eq", "tol_rank", "tol_psd"):
+        value = getattr(args, name, None)
+        if value is not None and not (np.isfinite(value) and value > 0):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be a finite positive number")
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -383,6 +392,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.fn(args)
     except KGFrameError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -401,8 +401,11 @@ def transform_by_q(
     sandwich_residual, q_norm, q_pinv_norm = uniform_norms(
         s_new - sandwich, q_op, q_op.pinv(rel_tol=rel_tol)
     )
+    # a zero q_op has range {0}, where every lower scale holds
     envelope_lower = (
-        lower_c / (q_pinv_norm**2) if np.isfinite(lower_c) else np.inf
+        lower_c / (q_pinv_norm**2)
+        if np.isfinite(lower_c) and q_pinv_norm > 0
+        else np.inf
     )
     envelope_upper = upper_d * q_norm**2
     within = (

@@ -21,10 +21,6 @@ class BasisError(KGFrameError):
     """A candidate family fails the orthonormal-basis axioms."""
 
 
-class InvertibilityError(KGFrameError):
-    """An operator required to be invertible is numerically singular."""
-
-
 class IsometryError(KGFrameError):
     """An operator fails the required isometry or co-isometry identity."""
 

@@ -13,10 +13,10 @@ Spectral norms go through the one stacked kernel,
 one stacked thin SVD: each makes one LAPACK call per block shape.  An
 operator's uniform norm and Hermitian spectrum are computed once and
 kept, so the frame operator shared by a frame's bounds, pencil, square
-root, pseudoinverse and inverse is decomposed once; `uniform_norms`
-measures the norms that a verdict needs together in one kernel call.
-An operator whose blocks are all exactly Hermitian takes its
-pseudoinverse and inverse from that kept spectrum, not from an SVD.
+root and pseudoinverse is decomposed once; `uniform_norms` measures the
+norms that a verdict needs together in one kernel call.  An operator
+whose blocks are all exactly Hermitian takes its pseudoinverse from
+that kept spectrum, not from an SVD.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .algebra import (
     spectral_norms,
     within_slack,
 )
-from .errors import InvertibilityError, ShapeMismatch
+from .errors import ShapeMismatch
 from .modules import ModuleVector
 
 TOL_EQ = 1e-8
@@ -175,31 +175,24 @@ class ModuleOperator(_Blocks):
 
         Singular values up to `rank_cutoff` of the largest one are
         dropped.  An exactly Hermitian operator inverts its kept
-        `hermitian_spectrum` (see `_spectral_inverse`).  Any other goes
-        through one stacked thin SVD per block shape; every block is
-        bitwise np.linalg.pinv(b, rcond=rel_tol) wherever the largest
-        singular value is at least `RANK_FLOOR`.
+        `hermitian_spectrum`: its singular values are the moduli of its
+        eigenvalues, so per block it sums v v* / lam over the eigenpairs
+        whose modulus exceeds `rank_cutoff` of the largest modulus.  Any
+        other goes through one stacked thin SVD per block shape; every
+        block is bitwise np.linalg.pinv(b, rcond=rel_tol) wherever the
+        largest singular value is at least `RANK_FLOOR`.
         """
-        if self._exactly_hermitian():
-            return self._spectral_inverse(rel_tol, strict=False)
-        return ModuleOperator._fresh(
-            self.shape, self.dims[::-1], _each(_pseudoinverses(rel_tol), self.blocks)
-        )
-
-    def inverse(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
-        """Blockwise inverse; raises when any block is numerically singular,
-        that is when its smallest singular value is at or below
-        `rank_cutoff` of its largest.  An exactly Hermitian operator
-        inverts its kept `hermitian_spectrum`; any other is measured by
-        one stacked SVD and inverted by np.linalg.inv."""
-        if self.domain_rank != self.codomain_rank:
-            raise InvertibilityError("only square operators can be inverted")
-        if self._exactly_hermitian():
-            return self._spectral_inverse(rel_tol, strict=True)
-        for k, svals in enumerate(singular_values_each(self.blocks)):
-            if svals[-1] <= rank_cutoff(svals[0], rel_tol):
-                raise InvertibilityError(f"block {k} is numerically singular")
-        return self._like(_each(np.linalg.inv, self.blocks))
+        if not self._exactly_hermitian():
+            return ModuleOperator._fresh(
+                self.shape, self.dims[::-1], _each(_pseudoinverses(rel_tol), self.blocks)
+            )
+        blocks = []
+        for lam, vecs in self.hermitian_spectrum():
+            mags = np.abs(lam)
+            keep = mags > rank_cutoff(float(mags.max()), rel_tol)
+            vr = vecs[:, keep]
+            blocks.append(_hermitize((vr / lam[keep]) @ vr.conj().T))
+        return self._like(blocks)
 
     def range_projection(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Self-adjoint idempotent projecting onto the range of this operator.
@@ -246,25 +239,6 @@ class ModuleOperator(_Blocks):
         return all(
             np.array_equal(b, b.conj().T) and np.isfinite(b).all() for b in self.blocks
         )
-
-    def _spectral_inverse(self, rel_tol: float, strict: bool) -> "ModuleOperator":
-        """Pseudoinverse of an exactly Hermitian operator from its kept
-        spectrum: per block, sum over the kept eigenpairs of v v* / lam.
-
-        Its singular values are the moduli of its eigenvalues, so the SVD
-        rule keeps an eigenvalue when its modulus exceeds `rank_cutoff` of
-        the largest modulus.  With `strict`, a dropped eigenvalue raises
-        InvertibilityError, as `inverse` does for a singular block.
-        """
-        blocks = []
-        for k, (lam, vecs) in enumerate(self.hermitian_spectrum()):
-            mags = np.abs(lam)
-            keep = mags > rank_cutoff(float(mags.max()), rel_tol)
-            if strict and not keep.all():
-                raise InvertibilityError(f"block {k} is numerically singular")
-            vr = vecs[:, keep]
-            blocks.append(_hermitize((vr / lam[keep]) @ vr.conj().T))
-        return self._like(blocks)
 
     def hermitian_sqrt(self) -> "ModuleOperator":
         """Square root of a positive semidefinite square operator."""

@@ -498,7 +498,11 @@ def _check_canonical_dual(t: Trial) -> TrialOutcome:
         frame = reconstruct_from_g_operator(q0, inst.basis)
         k_op = inst.k_op
         result = canonical_k_dual(frame, k_op, tol_eq=t.tol_eq, rel_tol=t.rel_tol)
-        s_inv = frame.frame_operator().inverse(rel_tol=t.rel_tol)
+        # S^-1 by np.linalg.inv alone, sharing nothing with the pseudoinverse
+        s_op = frame.frame_operator()
+        s_inv = ModuleOperator(
+            s_op.shape, *s_op.dims, [np.linalg.inv(b) for b in s_op.blocks]
+        )
         prefix = k_op.then(s_inv)
         direct = GFrame([prefix.then(mem) for mem in frame.members])
         direct_dist = frame_distance(result.frame, direct)
@@ -1071,6 +1075,7 @@ def run_theorem_suite(config: SuiteConfig) -> SuiteResult:
     """Run every selected check for the configured number of trials."""
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
+    config.caps.validate()
     selected = config.check_ids if config.check_ids is not None else list_check_ids()
     for check_id in selected:
         _require_known(check_id)

@@ -33,6 +33,14 @@ def square_op(shape: kg.AlgebraShape, rows) -> kg.ModuleOperator:
     return kg.ModuleOperator(shape, mat.shape[0], mat.shape[1], [mat])
 
 
+def plain_inverse(op: kg.ModuleOperator) -> kg.ModuleOperator:
+    """Blockwise np.linalg.inv, through the public constructor: a reference
+    that shares no arithmetic with the library's pseudoinverse."""
+    return kg.ModuleOperator(
+        op.shape, *op.dims, [np.linalg.inv(b) for b in op.blocks]
+    )
+
+
 def pinned_example():
     """Frame with bounds (1, 3) and reference diag(1, 0) with lower scale 1.5."""
     shape = single_block_shape()

@@ -20,7 +20,7 @@ from kgframes.generators import (
     random_vector,
     sub_seed,
 )
-from helpers import acceptance_lines, pinned_example
+from helpers import acceptance_lines, pinned_example, plain_inverse
 
 
 def _verdict(number: int, name: str, ok: bool) -> bool:
@@ -154,7 +154,7 @@ def test_acceptance_05_canonical_dual_residuals():
             if result.certificate.residual > 1e-8 * (1.0 + k_op.uniform_norm()):
                 ok = False
                 break
-            prefix = k_op.then(frame.frame_operator().inverse())
+            prefix = k_op.then(plain_inverse(frame.frame_operator()))
             direct = kg.GFrame([prefix.then(m) for m in frame.members])
             if kg.frame_distance(result.frame, direct) > 1e-9:
                 ok = False

@@ -275,6 +275,41 @@ def test_tol_psd_is_a_verify_flag_only(pinned_doc, capsys):
     assert json.loads(capsys.readouterr().out)["tolerances"]["tol_psd"] == 1e-6
 
 
+BAD_TOLERANCES = ("nan", "0", "-1e-8", "inf")
+
+
+def _refuses_bad_tolerances(argv, flag, capsys):
+    """Each bad value exits 1 with one message, before any work is done."""
+    for value in BAD_TOLERANCES:
+        assert main([*argv, f"{flag}={value}"]) == 1, (argv, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be a finite positive number\n"
+
+
+def test_tol_eq_must_be_finite_and_positive(pinned_doc, capsys):
+    for command in ("check", "dual"):
+        _refuses_bad_tolerances([command, str(pinned_doc)], "--tol-eq", capsys)
+    _refuses_bad_tolerances(["verify", "--trials", "1"], "--tol-eq", capsys)
+
+
+def test_tol_rank_must_be_finite_and_positive(pinned_doc, capsys):
+    for command in ("check", "dual"):
+        _refuses_bad_tolerances([command, str(pinned_doc)], "--tol-rank", capsys)
+    _refuses_bad_tolerances(["verify", "--trials", "2"], "--tol-rank", capsys)
+
+
+def test_tol_psd_must_be_finite_and_positive(capsys):
+    _refuses_bad_tolerances(["verify", "--trials", "1"], "--tol-psd", capsys)
+
+
+def test_verify_refuses_bad_caps_once(capsys):
+    assert main(["verify", "--trials", "1", "--max-dims", "0,1,1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all size caps must be at least 1\n"
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["check", "/nonexistent/input.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -12,7 +12,13 @@ from kgframes.generators import (
     generate,
     random_isometry,
 )
-from helpers import column_member, pinned_example, single_block_shape, square_op
+from helpers import (
+    column_member,
+    pinned_example,
+    plain_inverse,
+    single_block_shape,
+    square_op,
+)
 
 
 # -- verification and canonical construction --------------------------------
@@ -40,7 +46,7 @@ def test_pinned_example_canonical_dual():
     assert result.certificate.is_dual
     assert result.certificate.residual <= 1e-12
     # invertible frame operator: members match frame-inverse composition
-    s_inv = frame.frame_operator().inverse()
+    s_inv = plain_inverse(frame.frame_operator())
     direct = kg.GFrame([k_op.then(s_inv).then(m) for m in frame.members])
     assert kg.frame_distance(result.frame, direct) <= 1e-12
     # independent verification agrees
@@ -243,6 +249,18 @@ def test_commuting_transform_generated_pairs():
         assert report.within_envelope
         assert report.envelope_lower <= report.measured_lower + 1e-8
         assert report.measured_upper <= report.envelope_upper + 1e-8
+
+
+def test_a_zero_transform_has_an_infinite_lower_envelope():
+    # a zero Q has range {0}: the pencil and the envelope both read inf
+    _, frame, k_op = pinned_example()
+    zero = kg.ModuleOperator.zero(frame.shape, 2, 2)
+    report = kg.transform_by_q(frame, k_op, zero)
+    assert report.measured_lower == np.inf
+    assert report.envelope_lower == np.inf
+    assert report.measured_upper == 0.0
+    assert report.envelope_upper == 0.0
+    assert report.within_envelope
 
 
 def test_transform_rejects_non_commuting_operator():

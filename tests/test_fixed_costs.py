@@ -1,10 +1,11 @@
 """Fixed costs cut without changing a bit of any result.
 
-Products, sums, adjoints, inverses and the frame's derived operators are
-adopted without a copy, so they must already be what a copy would have
-made: read-only, complex and C-ordered; public construction still
-copies.  Norms that are known without LAPACK make no call, norms needed
-together share one, and a frame keeps what it was measured against.
+Products, sums, adjoints, pseudoinverses and the frame's derived
+operators are adopted without a copy, so they must already be what a
+copy would have made: read-only, complex and C-ordered; public
+construction still copies.  Norms that are known without LAPACK make no
+call, norms needed together share one, and a frame keeps what it was
+measured against.
 """
 
 import collections
@@ -46,7 +47,6 @@ def _producers():
         "scale": f.scale(2.0 - 1.0j),
         "adjoint": f.adjoint(),
         "pinv": f.pinv(),
-        "inverse": k_op.inverse(),
         "range_projection": f.range_projection(),
         "hermitian_sqrt": psd.hermitian_sqrt(),
         "analysis_operator": frame.analysis_operator(),

@@ -5,7 +5,7 @@ spectral norms go through the stacked kernel (never np.linalg.norm with
 ord=2), norms needed together share one call, a group of zero matrices
 makes none, a gate settled by Frobenius bounds makes none, the frame
 operator is decomposed once per frame and its kept spectrum also gives
-its pseudoinverse and inverse, any other pseudoinverse is a stacked thin
+its pseudoinverse, any other pseudoinverse is a stacked thin
 SVD (never np.linalg.pinv), and the range comparisons build projectors
 only (no pencil, no pseudoinverse).
 """
@@ -36,7 +36,6 @@ CEILINGS = {
     "validate_basis": {"svd": 0},
     # a frame operator whose spectrum is kept inverts it with no launch
     "frame_operator.pinv": {"eigh": 0, "inv": 0, "pinv": 0, "svd": 0},
-    "frame_operator.inverse": {"eigh": 0, "inv": 0, "pinv": 0, "svd": 0},
 }
 
 

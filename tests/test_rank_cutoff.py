@@ -48,11 +48,6 @@ def test_every_consumer_implies_the_same_rank(name):
         for b, p in zip(op.blocks, op.pinv(RT).blocks)
     )
     assert kept == ranks
-    if full:
-        op.inverse(RT)
-    else:
-        with pytest.raises(kg.InvertibilityError):
-            op.inverse(RT)
     assert kg.is_g_complete(kg.GFrame([op]), rel_tol=RT) == full
     # a member with the square roots on its diagonal has a frame operator
     # with exactly these values as its eigenvalues

@@ -149,6 +149,20 @@ def test_seed_changes_the_draws():
     assert a.specs != b.specs
 
 
+def test_the_canonical_dual_is_judged_against_an_independent_inverse():
+    # S^-1 by np.linalg.inv shares no arithmetic with the pseudoinverse
+    # from S's kept spectrum, so the two agree to roundoff, not bitwise
+    config = kg.SuiteConfig(seed=0)
+    distances = [
+        kg.run_check(config, "canonical_dual_residual", i).measured[
+            "plain_inverse_distance"
+        ]
+        for i in range(0, 50, 2)
+    ]
+    assert max(distances) <= 1e-9
+    assert any(d > 0.0 for d in distances)
+
+
 def test_check_subset_selection():
     cfg = kg.SuiteConfig(trials=1, seed=0, check_ids=("sqrt_factor", "zero_overlap"))
     result = kg.run_theorem_suite(cfg)
