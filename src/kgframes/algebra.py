@@ -4,8 +4,8 @@ An algebra element is one square complex matrix per block.  The k-th
 seminorm is the spectral norm of the k-th block; positivity is decided
 blockwise with relative tolerances.
 
-Every numerical decision of the package has its rule here.  A rank
-decision keeps a singular value (or eigenvalue) above `rank_cutoff`.  A
+Every numerical decision of the package has its rule here.  Every rank
+decision is `kept_mask`, which cuts each block on its own scale.  A
 threshold verdict (positivity, the Hermitian test, the leak out of a
 range, a dual, tightness or factor residual) passes when its residual
 is at most `slack(tol, scale) = tol * (1 + scale)`, the scale being the
@@ -57,11 +57,18 @@ INCLUSION_TOL = 1e-12
 RANK_FLOOR = 1e-300
 
 
-def rank_cutoff(top: float, rel_tol: float) -> float:
-    """The one rank cutoff: a singular value (or eigenvalue) counts toward
-    the numerical rank when it exceeds rel_tol times the largest one,
+def rank_cutoff(top: float | np.ndarray, rel_tol: float) -> float | np.ndarray:
+    """rel_tol times a block's largest modulus (or an array of them),
     floored at RANK_FLOOR."""
-    return rel_tol * max(top, RANK_FLOOR)
+    return rel_tol * np.maximum(top, RANK_FLOOR)
+
+
+def kept_mask(values: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The one rank decision: the singular values or eigenvalues of a block
+    (or of a stack of blocks, along the last axis) that count toward its
+    rank, those whose modulus exceeds `rank_cutoff` of its largest."""
+    mags = np.abs(values)
+    return mags > rank_cutoff(mags.max(axis=-1, keepdims=True), rel_tol)
 
 
 def slack(tol: float, scale: float) -> float:

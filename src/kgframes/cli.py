@@ -296,8 +296,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error exits EXIT_ERROR: argparse's 2 is the refusal code."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgframes",
         description=(
             "Finite-dimensional laboratory for operator-weighted frames in "

@@ -18,7 +18,7 @@ from .algebra import (
     _check_same_shape,
     _largest,
     eigvalsh_each,
-    rank_cutoff,
+    kept_mask,
     singular_values_each,
     spectral_norms,
     within_slack,
@@ -133,10 +133,9 @@ def canonical_k_dual(
     for svals in singular_values_each(
         [p_blk @ s_blk for p_blk, s_blk in zip(proj_k.blocks, s_op.blocks)]
     ):
-        top = float(svals[0])
-        retained = svals[svals > rank_cutoff(top, rel_tol)]
+        retained = svals[kept_mask(svals, rel_tol)]
         if retained.size:  # a zero block retains nothing
-            smallest_ratio = min(smallest_ratio, float(retained[-1]) / top)
+            smallest_ratio = min(smallest_ratio, float(retained[-1] / svals[0]))
     warning = smallest_ratio < CONDITIONING_RATIO * rel_tol
     return CanonicalDualResult(
         frame=xi,

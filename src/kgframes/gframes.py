@@ -27,7 +27,7 @@ from .algebra import (
     AlgebraShape,
     _check_same_shape,
     _largest,
-    rank_cutoff,
+    kept_mask,
     spectral_norms,
 )
 from .errors import BasisError, PartitionError, ShapeMismatch
@@ -191,6 +191,7 @@ class FrameBounds:
     _rank: int
     _lower_direction: np.ndarray
     _upper_direction: np.ndarray
+    _spectra: tuple[np.ndarray, ...]  # each block's eigenvalues, clipped at 0
 
     @cached_property
     def witness_low(self) -> ModuleVector:
@@ -205,25 +206,17 @@ class FrameBounds:
         )
 
     def is_frame(self, rel_tol: float = TOL_RANK) -> bool:
-        return self.lower > rank_cutoff(self.upper, rel_tol)
+        """Whether `kept_mask` keeps every eigenvalue of S, block by block."""
+        return all(kept_mask(lam, rel_tol).all() for lam in self._spectra)
 
 
 def optimal_g_bounds(frame: GFrame) -> FrameBounds:
     """Extreme eigenvalues of the frame operator with witness vectors."""
-    lower = np.inf
-    upper = -np.inf
-    lo_block = hi_block = 0
-    lo_vec = hi_vec = None
-    for k, (lam, vecs) in enumerate(frame.frame_operator().hermitian_spectrum()):
-        if float(lam[0]) < lower:
-            lower = float(lam[0])
-            lo_block = k
-            lo_vec = vecs[:, 0]
-        if float(lam[-1]) > upper:
-            upper = float(lam[-1])
-            hi_block = k
-            hi_vec = vecs[:, -1]
-    lower = max(lower, 0.0)
+    spectrum = frame.frame_operator().hermitian_spectrum()
+    lo_block = min(range(len(spectrum)), key=lambda k: spectrum[k][0][0])
+    hi_block = max(range(len(spectrum)), key=lambda k: spectrum[k][0][-1])
+    lower = max(float(spectrum[lo_block][0][0]), 0.0)
+    upper = float(spectrum[hi_block][0][-1])
     return FrameBounds(
         lower=lower,
         upper=upper,
@@ -233,22 +226,16 @@ def optimal_g_bounds(frame: GFrame) -> FrameBounds:
         _shape=frame.shape,
         _rank=frame.domain_rank,
         # copies: a view would keep the whole stacked eigenvector array alive
-        _lower_direction=lo_vec.copy(),
-        _upper_direction=hi_vec.copy(),
+        _lower_direction=spectrum[lo_block][1][:, 0].copy(),
+        _upper_direction=spectrum[hi_block][1][:, -1].copy(),
+        _spectra=tuple(np.maximum(lam, 0.0) for lam, _ in spectrum),
     )
 
 
 def is_g_complete(frame: GFrame, rel_tol: float = TOL_RANK) -> bool:
-    """No nonzero vector is annihilated by every member.
-
-    Equivalent to the analysis realization having full rank on each
-    block, and to the frame operator being positive definite.
-    """
-    analysis = frame.analysis_operator()
-    ranks = analysis.rank_profile(rel_tol=rel_tol)
-    return all(
-        r == n * frame.domain_rank for r, n in zip(ranks, frame.shape)
-    )
+    """No nonzero vector is annihilated by every member: in finite
+    dimensions the frame property, so this is `FrameBounds.is_frame`."""
+    return optimal_g_bounds(frame).is_frame(rel_tol)
 
 
 # -- coordinate bases ----------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (
     TOL_RANK,
-    rank_cutoff,
+    kept_mask,
     singular_values_each,
     slack,
     spectral_norms,
@@ -42,6 +42,7 @@ from .operators import (
     PencilResult,
     _absolute_square_blocks,
     _hermitize,
+    _inverse_over_kept,
     _norm_or_blocks,
     douglas,
     pencil_over_spectrum,
@@ -277,7 +278,8 @@ def sqrt_factor_check(
     majorized by the frame operator."""
     kg = is_kg_frame(frame, k_op, rel_tol=rel_tol)
     sqrt_op = frame.frame_operator().hermitian_sqrt()
-    factor = k_op.then(sqrt_op.pinv(rel_tol=rel_tol))
+    # sqrt(S)'s pseudoinverse, from the eigenpairs of S the verdict kept
+    factor = k_op.then(_inverse_over_kept(frame.frame_operator(), rel_tol, True))
     residual, k_norm = uniform_norms(factor.then(sqrt_op) - k_op, k_op)
     ok = kg.is_k_g_frame and residual <= slack(tol_eq, k_norm)
     diagnostics = None
@@ -325,11 +327,9 @@ def quotient_bounded(
         [*t_op.blocks, *(np.hstack([t, f]) for t, f in zip(t_op.blocks, f_op.blocks))]
     )
     for svals_t, svals_s in zip(svals[:count], svals[count:]):
-        cutoff = rank_cutoff(svals_s[0], rel_tol)
-        rank_t = int(np.sum(svals_t > cutoff))
-        rank_s = int(np.sum(svals_s > cutoff))
-        if rank_s != rank_t:
-            well = False
+        # T's rank and [T F]'s, both cut on the scale of [T F]
+        kept = kept_mask(np.concatenate([svals_s, svals_t]), rel_tol)
+        well = well and bool(kept[: len(svals_s)].sum() == kept[len(svals_s) :].sum())
     ff = [_hermitize(b @ b.conj().T) for b in f_op.blocks]
     tt = [_hermitize(b @ b.conj().T) for b in t_op.blocks]
     pencil = psd_quotient_max(ff, tt, rel_tol=rel_tol)

@@ -12,11 +12,11 @@ Spectral norms go through the one stacked kernel,
 `algebra.eigh_each`, and range projections and pseudoinverses through
 one stacked thin SVD: each makes one LAPACK call per block shape.  An
 operator's uniform norm and Hermitian spectrum are computed once and
-kept, so the frame operator shared by a frame's bounds, pencil, square
-root and pseudoinverse is decomposed once; `uniform_norms` measures the
-norms that a verdict needs together in one kernel call.  An operator
-whose blocks are all exactly Hermitian takes its pseudoinverse from
-that kept spectrum, not from an SVD.
+kept; `uniform_norms` measures the norms a verdict needs together in one
+kernel call.  An exactly Hermitian operator takes its pseudoinverse from
+that kept spectrum, so the frame operator behind a frame's bounds,
+pencil, square root and both pseudoinverses is decomposed once.  Every
+rank decision keeps what `algebra.kept_mask` keeps.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .algebra import (
     _identity,
     _largest,
     eigh_each,
+    kept_mask,
     psd_verdict,
-    rank_cutoff,
     singular_values_each,
     slack,
     spectral_norms,
@@ -61,24 +61,39 @@ def _absolute_square_blocks(op: "ModuleOperator") -> list[np.ndarray]:
 
 
 def _row_spaces(stack: np.ndarray):
+    if not np.count_nonzero(stack):  # nothing is kept: no SVD needed
+        svals = np.zeros((len(stack), min(stack.shape[1:])))
+        return zip(svals, np.zeros((*svals.shape, stack.shape[2]), stack.dtype))
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
     return zip(svals, vh)
 
 
 def _pseudoinverses(rel_tol: float):
     """Stack kernel for `_each`: the pseudoinverse of every matrix, by
-    np.linalg.pinv's operations in its order, with `rank_cutoff`."""
+    np.linalg.pinv's operations in its order, with `kept_mask`."""
 
     def decompose(stack: np.ndarray) -> np.ndarray:
         u, s, vt = np.linalg.svd(stack.conjugate(), full_matrices=False)
-        # LAPACK returns the singular values in descending order
-        cutoff = np.array([rank_cutoff(top, rel_tol) for top in s[:, 0].tolist()])
-        large = s > cutoff[:, None]
+        large = kept_mask(s, rel_tol)
         s = np.divide(1, s, where=large, out=s)
         s[~large] = 0
         return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
 
     return decompose
+
+
+def _inverse_over_kept(op: "ModuleOperator", rel_tol: float, root: bool):
+    """A Hermitian op's pseudoinverse: per block, v v* / lam summed over the
+    eigenpairs `kept_mask` keeps.  With `root`, that of sqrt(op) for a PSD
+    op: v v* / sqrt(lam), the cut made on op's eigenvalues clipped at 0."""
+    blocks = []
+    for lam, vecs in op.hermitian_spectrum():
+        lam = np.maximum(lam, 0.0) if root else lam
+        keep = kept_mask(lam, rel_tol)
+        vr = vecs[:, keep]
+        kept = np.sqrt(lam[keep]) if root else lam[keep]
+        blocks.append(_hermitize((vr / kept) @ vr.conj().T))
+    return op._like(blocks)
 
 
 class ModuleOperator(_Blocks):
@@ -173,11 +188,9 @@ class ModuleOperator(_Blocks):
     def pinv(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Blockwise Moore-Penrose pseudoinverse.
 
-        Singular values up to `rank_cutoff` of the largest one are
-        dropped.  An exactly Hermitian operator inverts its kept
-        `hermitian_spectrum`: its singular values are the moduli of its
-        eigenvalues, so per block it sums v v* / lam over the eigenpairs
-        whose modulus exceeds `rank_cutoff` of the largest modulus.  Any
+        Only the singular values `kept_mask` keeps are inverted.  An
+        exactly Hermitian operator inverts its kept `hermitian_spectrum`,
+        since its singular values are the moduli of its eigenvalues.  Any
         other goes through one stacked thin SVD per block shape; every
         block is bitwise np.linalg.pinv(b, rcond=rel_tol) wherever the
         largest singular value is at least `RANK_FLOOR`.
@@ -186,36 +199,22 @@ class ModuleOperator(_Blocks):
             return ModuleOperator._fresh(
                 self.shape, self.dims[::-1], _each(_pseudoinverses(rel_tol), self.blocks)
             )
-        blocks = []
-        for lam, vecs in self.hermitian_spectrum():
-            mags = np.abs(lam)
-            keep = mags > rank_cutoff(float(mags.max()), rel_tol)
-            vr = vecs[:, keep]
-            blocks.append(_hermitize((vr / lam[keep]) @ vr.conj().T))
-        return self._like(blocks)
+        return _inverse_over_kept(self, rel_tol, False)
 
     def range_projection(self, rel_tol: float = TOL_RANK) -> "ModuleOperator":
         """Self-adjoint idempotent projecting onto the range of this operator.
 
         Per block this is the orthogonal projector onto the row space of
-        the realization, acting on the codomain module.  The blocks are
-        decomposed by one stacked thin SVD per block shape, bitwise the
-        per-block np.linalg.svd(blk, full_matrices=False).
+        the realization kept by `kept_mask`, acting on the codomain module.
+        The blocks are decomposed by one stacked thin SVD per block shape
+        (none for zero blocks), bitwise np.linalg.svd(blk, full_matrices=False).
         """
         blocks = []
         for svals, vh in _each(_row_spaces, self.blocks):
-            keep = svals > rank_cutoff(svals[0], rel_tol)
-            vr = vh[keep].conj().T
+            vr = vh[kept_mask(svals, rel_tol)].conj().T
             blocks.append(_hermitize(vr @ vr.conj().T))
         return ModuleOperator._fresh(
             self.shape, (self.codomain_rank, self.codomain_rank), blocks
-        )
-
-    def rank_profile(self, rel_tol: float = TOL_RANK) -> tuple[int, ...]:
-        """Numerical rank of each realization block."""
-        return tuple(
-            int(np.sum(svals > rank_cutoff(svals[0], rel_tol)))
-            for svals in singular_values_each(self.blocks)
         )
 
     def smallest_singular_value(self) -> float:
@@ -242,8 +241,6 @@ class ModuleOperator(_Blocks):
 
     def hermitian_sqrt(self) -> "ModuleOperator":
         """Square root of a positive semidefinite square operator."""
-        if self.domain_rank != self.codomain_rank:
-            raise ShapeMismatch("square root needs a square operator")
         blocks = []
         for lam, vecs in self.hermitian_spectrum():
             lam = np.clip(lam, 0.0, None)
@@ -358,7 +355,8 @@ def pencil_over_spectrum(
     gap_ratio = np.inf
     vanished, leaks, kept, compressed_g, ranges = [], [], [], [], []
     for k, (m, (lam, vecs)) in enumerate(zip(ms, n_spectrum)):
-        keep = lam > rank_cutoff(lam[-1], rel_tol)
+        # N is PSD: its negative eigenvalues are roundoff, read as 0
+        keep = kept_mask(np.maximum(lam, 0.0), rel_tol)
         vr = vecs[:, keep]
         ranges.append(vr)
         if not keep.any():

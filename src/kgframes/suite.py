@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import TOL_PSD, TOL_RANK, psd_verdicts, rank_cutoff, slack
+from .algebra import TOL_PSD, TOL_RANK, kept_mask, psd_verdicts, slack
 from .duality import (
     canonical_k_dual,
     coisometry_transport,
@@ -543,7 +543,7 @@ def _orthogonal_complement_square(
     for blk in q_op.blocks:
         dim = blk.shape[0]
         u, svals, _ = np.linalg.svd(blk)
-        rank = int(np.sum(svals > rank_cutoff(svals[0], rel_tol)))
+        rank = int(np.sum(kept_mask(svals, rel_tol)))
         null_basis = u[:, rank:]
         if null_basis.shape[1] == 0:
             blocks.append(np.zeros((dim, dim), dtype=complex))

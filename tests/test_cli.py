@@ -267,8 +267,9 @@ def test_verify_caps_flag(tmp_path, capsys):
 def test_tol_psd_is_a_verify_flag_only(pinned_doc, capsys):
     # check and dual decide no positivity, so they take no PSD tolerance
     for argv in (["check", str(pinned_doc)], ["dual", str(pinned_doc)]):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(argv + ["--tol-psd", "1e-6"])
+        assert excinfo.value.code == 1
     capsys.readouterr()
     argv = ["verify", "--trials", "1", "--theorems", "completeness_span"]
     assert main(argv + ["--tol-psd", "1e-6"]) == 0
@@ -321,6 +322,25 @@ def test_malformed_document_is_an_error(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--bogus", "x"],
+        # argparse reads -1e-8 as a flag, not as the flag's value
+        ["verify", "--tol-psd", "-1e-8"],
+        [],
+    ],
+)
+def test_a_usage_error_exits_1_not_the_refusal_code(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kgframes")
+    assert ": error: " in captured.err.splitlines()[-1]
 
 
 def test_version_flag():

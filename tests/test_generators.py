@@ -195,9 +195,8 @@ def test_tight_kind_produces_tight_families():
 
 def test_rank_deficient_kind_controls_the_verdict():
     inside = generate(draw_spec("rank_deficient_K", 3, basis_compatible=True, k_inside=True))
-    s = inside.frame.frame_operator()
-    full = tuple(n * inside.frame.domain_rank for n in inside.shape.sizes)
-    assert s.rank_profile() != full  # the frame operator is genuinely singular
+    # the frame operator is genuinely singular
+    assert not kg.optimal_g_bounds(inside.frame).is_frame()
     assert kg.is_kg_frame(inside.frame, inside.k_op).is_k_g_frame
     outside = generate(draw_spec("rank_deficient_K", 3, basis_compatible=True, k_inside=False))
     assert not kg.is_kg_frame(outside.frame, outside.k_op).is_k_g_frame

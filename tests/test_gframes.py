@@ -110,17 +110,34 @@ def test_completeness():
     assert bounds.lower == 0.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="completeness cuts singular values, the frame verdict their squares",
-)
 def test_completeness_and_the_frame_verdict_agree_near_the_cutoff():
     # in finite dimensions a complete family is a frame; singular values
-    # (1, 1e-7) keep full rank under the cutoff, eigenvalues (1, 1e-14) do not
+    # (1, 1e-7) would keep full rank under the cutoff, but both verdicts
+    # cut the eigenvalues (1, 1e-14) of S
     shape = kg.AlgebraShape((2,))
     frame = kg.GFrame([kg.ModuleOperator(shape, 1, 1, [np.diag([1.0, 1e-7])])])
     assert kg.is_g_complete(frame) == kg.optimal_g_bounds(frame).is_frame()
+
+
+def _three_routes(frame):
+    identity = kg.ModuleOperator.identity(frame.shape, frame.domain_rank)
+    return (
+        kg.optimal_g_bounds(frame).is_frame(),
+        kg.is_kg_frame(frame, identity).is_k_g_frame,
+        kg.is_g_complete(frame),
+    )
+
+
+def test_the_frame_property_is_read_per_block_on_every_route():
+    # S = [[1]] ⊕ [[1e-12]]: each block is nonsingular on its own scale,
+    # though 1e-12 is below the cutoff of the largest eigenvalue overall
+    shape = kg.AlgebraShape((1, 1))
+    member = kg.ModuleOperator(shape, 1, 1, [np.eye(1), 1e-6 * np.eye(1)])
+    assert _three_routes(kg.GFrame([member])) == (True, True, True)
+    # one block with eigenvalues (1, 1e-14) is singular on its own scale
+    single = kg.AlgebraShape((2,))
+    member = kg.ModuleOperator(single, 1, 1, [np.diag([1.0, 1e-7])])
+    assert _three_routes(kg.GFrame([member])) == (False, False, False)
 
 
 def test_frame_requires_uniform_domain():

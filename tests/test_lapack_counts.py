@@ -5,7 +5,8 @@ spectral norms go through the stacked kernel (never np.linalg.norm with
 ord=2), norms needed together share one call, a group of zero matrices
 makes none, a gate settled by Frobenius bounds makes none, the frame
 operator is decomposed once per frame and its kept spectrum also gives
-its pseudoinverse, any other pseudoinverse is a stacked thin
+its pseudoinverse, the pseudoinverse of its square root and the frame
+and completeness verdicts, any other pseudoinverse is a stacked thin
 SVD (never np.linalg.pinv), and the range comparisons build projectors
 only (no pencil, no pseudoinverse).
 """
@@ -36,6 +37,10 @@ CEILINGS = {
     "validate_basis": {"svd": 0},
     # a frame operator whose spectrum is kept inverts it with no launch
     "frame_operator.pinv": {"eigh": 0, "inv": 0, "pinv": 0, "svd": 0},
+    # completeness is the frame verdict, read from the spectrum the bounds kept
+    "is_g_complete": {"eigh": 0, "svd": 0},
+    # sqrt(S)'s pseudoinverse comes from the eigenpairs of S the verdict kept
+    "sqrt_factor_check": {"eigh": 4},
 }
 
 
@@ -87,6 +92,10 @@ def _call(entry: str):
         s_op = _instance()[0].frame_operator()
         s_op.hermitian_spectrum()
         return getattr(s_op, entry.split(".")[1])
+    if entry == "is_g_complete":
+        frame = _instance()[0]
+        kg.optimal_g_bounds(frame)
+        return lambda: kg.is_g_complete(frame)
     args = _args(entry)
     return lambda: getattr(kg, entry.split("/")[0])(*args)
 

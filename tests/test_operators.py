@@ -141,7 +141,7 @@ def _hermitian_blocks(rng, n):
     PSD full rank, PSD rank-deficient, indefinite and zero.  The 1e-3 is
     kept at rel_tol 1e-10 and dropped at 1e-3 unless it is the largest.
     Also returns, for a rel_tol, each block rebuilt from the eigenvalues
-    above `rank_cutoff`."""
+    that `kept_mask` keeps."""
     q, _ = np.linalg.qr(_gaussian(rng, n, n))
     full = rng.uniform(0.5, 2.0, n)
     full[0] = 1e-3
@@ -211,15 +211,16 @@ def test_hermitian_sqrt():
         rect.hermitian_sqrt()
 
 
-def test_range_projection_and_rank_profile():
+def test_range_projection_and_its_traces():
     shape = single_block_shape()
     f = square_op(shape, [[1, 0, 0], [0, 2, 0], [0, 0, 0]])
     proj = f.range_projection()
     assert kg.operator_distance(proj.then(proj), proj) < 1e-13
     assert kg.operator_distance(proj.adjoint(), proj) < 1e-13
     assert kg.operator_distance(f.then(proj), f) < 1e-13
-    assert f.rank_profile() == (2,)
-    assert square_op(shape, [[0, 0], [0, 0]]).rank_profile() == (0,)
+    assert np.trace(proj.blocks[0]).real == pytest.approx(2.0, abs=1e-13)
+    zero = square_op(shape, [[0, 0], [0, 0]]).range_projection()
+    assert np.trace(zero.blocks[0]).real == 0.0
 
 
 def test_stacked_range_projection_matches_per_block_svd_bitwise():

@@ -1,10 +1,14 @@
-"""Every rank decision goes through algebra.rank_cutoff, so every consumer
-implies the same rank for the same singular values."""
+"""Every rank decision goes through algebra.kept_mask, which cuts each
+block on the scale of its own largest value (algebra.rank_cutoff), so
+every consumer implies the same rank for the same singular values.  The
+frame verdict and completeness read the one mask on the eigenvalues of
+the frame operator."""
 
 import numpy as np
 import pytest
 
 import kgframes as kg
+from kgframes.algebra import kept_mask
 
 # a power of two, so the cutoff 4 * RT and its square root are exact and
 # a value sitting on the cutoff stays on it through every decomposition
@@ -12,7 +16,7 @@ RT = 2.0**-34
 AT = 4.0 * RT
 
 # per-block singular values, descending; every nonzero block has top 4,
-# so the per-block cutoffs and the global one of FrameBounds coincide
+# so one cutoff holds on every block
 CASES = {
     "at": ([[4.0, AT]], (1,)),
     "just_above": ([[4.0, AT * (1 + 1e-6)]], (2,)),
@@ -36,8 +40,8 @@ def test_every_consumer_implies_the_same_rank(name):
     assert tuple(
         sum(x > kg.rank_cutoff(max(b), RT) for x in b) for b in blocks
     ) == ranks
+    assert tuple(int(kept_mask(np.array(b), RT).sum()) for b in blocks) == ranks
 
-    assert op.rank_profile(RT) == ranks
     traces = tuple(
         int(round(np.trace(p).real)) for p in op.range_projection(RT).blocks
     )
@@ -48,11 +52,11 @@ def test_every_consumer_implies_the_same_rank(name):
         for b, p in zip(op.blocks, op.pinv(RT).blocks)
     )
     assert kept == ranks
-    assert kg.is_g_complete(kg.GFrame([op]), rel_tol=RT) == full
     # a member with the square roots on its diagonal has a frame operator
     # with exactly these values as its eigenvalues
     root = _diagonal_operator([np.sqrt(b) for b in blocks])
     assert kg.optimal_g_bounds(kg.GFrame([root])).is_frame(RT) == full
+    assert kg.is_g_complete(kg.GFrame([root]), rel_tol=RT) == full
     # F reaches only the weakest direction of each block, so T x -> F x is
     # well defined exactly when T keeps that direction
     f_op = _diagonal_operator([[0.0] * (len(b) - 1) + [0.5] for b in blocks])

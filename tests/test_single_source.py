@@ -1,14 +1,14 @@
-"""Each numerical decision is made in one place: the rank cutoff is
-algebra.rank_cutoff, the residual gate is algebra.slack (which
-algebra.within_slack applies from norm bounds), and the pencil's
-fixed floor is algebra.INCLUSION_TOL.  Only the three decision inputs
-(tol_eq, tol_psd, rel_tol) are tolerance parameters; every other
-threshold is a module constant, and the suite hands the decision inputs
-to every call that takes one.  The suite's one seed rule is
-suite.Trial.seed.  Blocks are copied (`_freeze`) and adopted (`_adopt`)
-only by the block core, algebra._Blocks, and what is measured of a frame
-is kept in one table that only gframes.py touches.  Every definition has
-a caller in the package."""
+"""Each numerical decision is made in one place: every rank decision is
+algebra.kept_mask (the only caller of algebra.rank_cutoff), the residual
+gate is algebra.slack (which algebra.within_slack applies from norm
+bounds), and the pencil's fixed floor is algebra.INCLUSION_TOL.  Only
+the three decision inputs (tol_eq, tol_psd, rel_tol) are tolerance
+parameters; every other threshold is a module constant, and the suite
+hands the decision inputs to every call that takes one.  The suite's
+one seed rule is suite.Trial.seed.  Blocks are copied (`_freeze`) and
+adopted (`_adopt`) only by the block core, algebra._Blocks, and what is
+measured of a frame is kept in one table that only gframes.py touches.
+Every definition has a caller in the package."""
 
 import ast
 import inspect
@@ -21,8 +21,9 @@ from kgframes.operators import pencil_over_spectrum
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "kgframes"
 
-# the floor, the constant that used to spell it, and an inline cutoff
-FORBIDDEN = re.compile(r"1e-300|_TINY|rel_tol\s*\*\s*max\(")
+# the floor, the constant that used to spell it, an inline cutoff, and a
+# cutoff applied apart from the mask
+FORBIDDEN = re.compile(r"1e-300|_TINY|rel_tol\s*\*\s*max\(|\brank_cutoff\s*\(")
 
 # a tolerance (a tol... name or an Ne-M literal) times (1 + ...), or
 # anything times (1 + an Ne-M literal), also when the expression is
@@ -50,6 +51,23 @@ def test_no_rank_cutoff_outside_algebra():
         if FORBIDDEN.search(line)
     ]
     assert not hits, "rank cutoff spelled outside algebra.py:\n" + "\n".join(hits)
+
+
+def test_the_guard_sees_a_cutoff_applied_apart_from_the_mask():
+    for spelled in (
+        "keep = svals > rank_cutoff(svals[0], rel_tol)",
+        "cutoff = algebra.rank_cutoff (top, rel_tol)",
+        "large = s > rel_tol * max(top, floor)",
+        "floor = 1e-300",
+    ):
+        assert FORBIDDEN.search(spelled), spelled
+    for fine in (
+        "keep = kept_mask(svals, rel_tol)",
+        "from .algebra import rank_cutoff",
+        "`rank_cutoff` of the largest modulus",
+        "my_rank_cutoffs = ()",
+    ):
+        assert not FORBIDDEN.search(fine), fine
 
 
 def test_no_residual_gate_outside_algebra():
